@@ -54,6 +54,8 @@ and ``workload --cold-start N`` measures that restart latency.  See
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -554,6 +556,8 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
             f"wrote sharded snapshot of {table.n_rows:,} rows "
             f"({args.shards} shards on dim {args.shard_dim}) to {args.out}"
         )
+        del table
+        _release_build_memory()
         return 0
     from repro.core.range_cubing import range_cubing_detailed
     from repro.store import write_snapshot
@@ -571,7 +575,42 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
         sketch=True,
     )
     print(f"wrote {cube.n_ranges:,} ranges ({table.n_rows:,} rows) to {args.out}")
+    del cube, table
+    _release_build_memory()
     return 0
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+    return trim
+
+
+def _release_build_memory() -> None:
+    """Hand what a finished build freed back to the operating system.
+
+    A cube and its columnar store reference each other, so the collector,
+    not the last ``del``, frees them.  Freed numpy buffers stay in the C
+    heap, where glibc keeps up to 64 MB for reuse that Python's object
+    allocator (the next build's CSV rows and trie) cannot use.  So in a
+    process that builds again, as one calling :func:`main` in a loop
+    does, the next build's peak RSS would sit on top of the last one's
+    leftovers, higher or lower as the allocations in between happen to
+    pin that heap.  Collecting and trimming here makes every build start
+    from the heap the process needs.
+    """
+    gc.collect()
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _cmd_snapshot_inspect(args: argparse.Namespace) -> int:

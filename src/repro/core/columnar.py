@@ -6,7 +6,9 @@ unchanged.  :class:`ColumnarRangeStore` takes that literally: it freezes
 a :class:`~repro.core.range_cube.RangeCube` into a handful of numpy
 columns — in the spirit of Szépkúti's compressed multidimensional
 layouts — so whole *batches* of queries resolve inside vectorized
-kernels instead of one Python object walk per cell.
+kernels instead of one Python object walk per cell.  The freeze starts
+from the cube's :class:`~repro.core.range_cube.RangeColumns` (what
+Algorithm 2 emits), so every column below is a whole-array operation.
 
 The layout, for a cube of ``R`` ranges over ``n`` dimensions:
 
@@ -50,20 +52,19 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import reduce
+from functools import cached_property, reduce
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.range_cube import STAR_CODE
 from repro.cube.cell import Cell
 from repro.obs import OBS_STATE, get_registry, get_tracer
 from repro.table.aggregates import Aggregator, CountAggregator, SumCountAggregator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.range_cube import Range, RangeCube
-
-#: Sentinel code standing for ``*`` (``None``) in the specific matrix.
-STAR_CODE = -1
 
 #: Bitmask columns are int64, so the columnar path covers up to 62 dims.
 MAX_COLUMNAR_DIMS = 62
@@ -75,8 +76,16 @@ COLUMNAR_THRESHOLD = 512
 
 
 def prefers_columnar(cube: "RangeCube") -> bool:
-    """Whether reads over ``cube`` should go through the columnar store."""
-    return len(cube.ranges) >= COLUMNAR_THRESHOLD and cube.n_dims <= MAX_COLUMNAR_DIMS
+    """Whether reads over ``cube`` should go through the columnar store.
+
+    Sized by the cube's ``n_ranges``, which a :class:`RangeCube` reads off
+    its columns without building :class:`Range` objects; any other
+    object with a ``ranges`` list is sized by that list.
+    """
+    n_ranges = getattr(cube, "n_ranges", None)
+    if n_ranges is None:
+        n_ranges = len(cube.ranges)
+    return n_ranges >= COLUMNAR_THRESHOLD and cube.n_dims <= MAX_COLUMNAR_DIMS
 
 #: ``find_batch`` builds a memoized cuboid map for a mask only when the
 #: group asking for it is large enough relative to the candidate count;
@@ -190,15 +199,17 @@ class _FastStateColumns:
             return None
         kinds: list[str] = []
         columns: list = []
+        n = len(states)
         for j, (fn, _) in enumerate(aggregator.specs):
-            component = [s[j + 1] for s in states]
+            component = map(itemgetter(j + 1), states)
             if fn.name in cls._REDUCERS:
                 kinds.append(fn.name)
-                columns.append(np.asarray(component, dtype=np.float64))
+                columns.append(np.fromiter(component, dtype=np.float64, count=n))
             elif fn.name == "avg":
                 kinds.append("avg")
-                sums = np.asarray([c[0] for c in component], dtype=np.float64)
-                counts = np.asarray([c[1] for c in component], dtype=np.int64)
+                pairs = list(component)
+                sums = np.fromiter(map(itemgetter(0), pairs), dtype=np.float64, count=n)
+                counts = np.fromiter(map(itemgetter(1), pairs), dtype=np.int64, count=n)
                 columns.append((sums, counts))
             else:  # an aggregate without a columnar reduction
                 return None
@@ -227,23 +238,16 @@ class ColumnarRangeStore:
         self.cube = cube
         self.aggregator = cube.aggregator
         self.n_dims = cube.n_dims
-        self.ranges = cube.ranges
         n = cube.n_dims
-        rows = [
-            [STAR_CODE if v is None else v for v in r.specific] for r in self.ranges
-        ]
-        self.specific = (
-            np.asarray(rows, dtype=np.int32)
-            if rows
-            else np.empty((0, n), dtype=np.int32)
-        )
-        self.marked_mask = np.fromiter(
-            (r.mask for r in self.ranges), dtype=np.int64, count=len(self.ranges)
-        )
+        columns = cube.columns
+        self.specific = columns.specific
         bound = self.specific != STAR_CODE
         powers = np.int64(1) << np.arange(n, dtype=np.int64)
-        self.bound_mask = bound @ powers if n else np.zeros(len(rows), dtype=np.int64)
-        self.marked_mask &= self.bound_mask  # a marked dim is always bound
+        self.bound_mask = (
+            bound @ powers if n else np.zeros(len(columns), dtype=np.int64)
+        )
+        # a marked dim is always bound
+        self.marked_mask = columns.marked_mask & self.bound_mask
         self.fixed_mask = self.bound_mask & ~self.marked_mask
         # Packed acceptance bitsets: accept_words[d] bit r <=> range r
         # accepts * on dim d (marked or free there).
@@ -251,9 +255,9 @@ class ColumnarRangeStore:
         self.accept_words = np.stack(
             [_pack_bits(accepts[:, d]) for d in range(n)]
         ) if n else np.zeros((0, 1), dtype=np.uint64)
-        self.states: list[tuple] = [r.state for r in self.ranges]
+        self.states: list[tuple] = columns.states
         self.counts = np.fromiter(
-            (s[0] for s in self.states), dtype=np.int64, count=len(self.states)
+            map(itemgetter(0), self.states), dtype=np.int64, count=len(self.states)
         )
         self._fast_columns = _FastStateColumns.build(cube.aggregator, self.states)
         self.postings: list[dict[int, np.ndarray]] = [
@@ -265,6 +269,11 @@ class ColumnarRangeStore:
         self._cuboid_maps: dict[int, dict[Cell, int]] = {}
         self._cuboid_sizes: dict[int, int] | None = None
         self._memo_policy = None
+
+    @cached_property
+    def ranges(self) -> list["Range"]:
+        """The cube's :class:`Range` list, built only when asked for."""
+        return self.cube.ranges
 
     # -- memoization policy ----------------------------------------------
 
@@ -315,7 +324,7 @@ class ColumnarRangeStore:
         lookup where every dimension is free, answered entirely in the
         bitset layout.
         """
-        if not len(self.ranges):
+        if not len(self):
             return -1
         if not self.n_dims:
             return 0
@@ -529,7 +538,7 @@ class ColumnarRangeStore:
         """
         if self._cuboid_sizes is None:
             sizes: dict[int, int] = {}
-            if len(self.ranges):
+            if len(self):
                 pairs = np.column_stack((self.fixed_mask, self.marked_mask))
                 unique, counts = np.unique(pairs, axis=0, return_counts=True)
                 for (fixed, marked), count in zip(unique.tolist(), counts.tolist()):
@@ -617,10 +626,10 @@ class ColumnarRangeStore:
         return total
 
     def __len__(self) -> int:
-        return len(self.ranges)
+        return len(self.counts)
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarRangeStore({len(self.ranges)} ranges x {self.n_dims} dims, "
+            f"ColumnarRangeStore({len(self)} ranges x {self.n_dims} dims, "
             f"{self.nbytes() / 1024:.0f} KiB)"
         )

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.range_cube import RangeCube
-from repro.core.range_cubing import _traverse
+from repro.core.range_cubing import _restore, _traverse
 from repro.core.range_trie import RangeTrie
 from repro.obs import get_registry, get_tracer
 from repro.table.aggregates import Aggregator, default_aggregator
@@ -67,8 +67,8 @@ def range_cubing_from_trie(
     The trie is not modified (Algorithm 2's reductions are
     non-destructive), so it can keep absorbing inserts afterwards.
     """
-    ranges = _traverse(trie, trie.aggregator, min_support)
-    return RangeCube(trie.n_dims, trie.aggregator, ranges)
+    columns = _traverse(trie, trie.aggregator, min_support)
+    return RangeCube(trie.n_dims, trie.aggregator, columns=columns)
 
 
 class IncrementalRangeCuber:
@@ -309,15 +309,12 @@ class IncrementalRangeCuber:
 
         Always expressed in original dimension order and value coding:
         when a tuning plan is active the traversal runs in planned trie
-        space and the emitted ranges are restored through the plan's
+        space and the emitted columns are restored through the plan's
         inverse maps.
         """
-        cube = range_cubing_from_trie(self.trie, min_support)
-        if self.plan is None or self.plan.is_identity:
-            return cube
-        return RangeCube(
-            cube.n_dims, cube.aggregator, self.plan.restore_ranges(cube.ranges)
-        )
+        columns = _traverse(self.trie, self.aggregator, min_support)
+        columns = _restore(columns, self.plan, None)
+        return RangeCube(self.trie.n_dims, self.aggregator, columns=columns)
 
     @property
     def trie_nodes(self) -> int:

@@ -303,7 +303,7 @@ def parallel_range_cubing_detailed(
     # Imported here (not at module top) to avoid a cycle: range_cubing is
     # the serial facade and sits above the trie machinery this module and
     # it both use.
-    from repro.core.range_cubing import _remap_ranges, _traverse
+    from repro.core.range_cubing import _restore, _traverse
     from repro.tune import resolve_plan
 
     agg = aggregator or default_aggregator(table.n_measures)
@@ -358,15 +358,12 @@ def parallel_range_cubing_detailed(
                     else RangeTrie(working.n_dims, agg)
                 )
             with timings.stage("cube"), _TRACER.span("cube"):
-                ranges = _traverse(trie, agg, min_support)
+                columns = _traverse(trie, agg, min_support)
     finally:
         if owned:
             exec_obj.close()
 
-    if plan is not None and not plan.is_identity:
-        ranges = plan.restore_ranges(ranges)
-    elif order is not None:
-        ranges = _remap_ranges(ranges, order)
+    columns = _restore(columns, plan, order)
     timings.count("n_partitions", len(payloads))
     timings.count("tries_merged", len(tries))
     timings.count("trie_nodes", trie.n_nodes())
@@ -376,4 +373,4 @@ def parallel_range_cubing_detailed(
     stats["total_seconds"] = timings.total_seconds
     if plan is not None:
         stats["tuning"] = plan.to_json()
-    return RangeCube(table.n_dims, agg, ranges), stats
+    return RangeCube(table.n_dims, agg, columns=columns), stats

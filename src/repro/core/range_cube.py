@@ -17,13 +17,20 @@ dimensions covers ``2**m`` cells.
 A :class:`RangeCube` is a list of pairwise-disjoint ranges covering every
 cell of the full cube exactly once — a *convex partition* in the sense of
 Lakshmanan et al., which is what preserves roll-up/drill-down semantics
-(paper Theorem 1).
+(paper Theorem 1).  Algorithm 2 emits that list as :class:`RangeColumns`
+— one int32 code row, one int64 marked mask and one aggregate state per
+range — and the cube keeps the columns as its primary form: the read
+path freezes them without a pass over Python objects, and
+:class:`Range` objects are built only when a caller asks for
+:attr:`RangeCube.ranges`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.cube.cell import Cell
 from repro.cube.full_cube import MaterializedCube
@@ -106,13 +113,75 @@ class Range:
         return hash((self.specific, self.mask))
 
 
-class RangeCube:
-    """The output of range cubing: disjoint ranges partitioning the cube."""
+#: Sentinel code standing for ``*`` (``None``) in a specific-code column.
+STAR_CODE = -1
 
-    def __init__(self, n_dims: int, aggregator: Aggregator, ranges: list[Range]) -> None:
+
+class RangeColumns:
+    """A list of ranges as columns, in range order.
+
+    ``specific`` is the ``(R, n)`` int32 matrix of specific-endpoint
+    codes (:data:`STAR_CODE` for ``*``), ``marked_mask`` the ``(R,)``
+    int64 marked-dimension masks and ``states`` the list of aggregate
+    states.  Row ``i`` of the three is the range :class:`Range` ``i``
+    would hold.
+    """
+
+    __slots__ = ("specific", "marked_mask", "states")
+
+    def __init__(
+        self, specific: np.ndarray, marked_mask: np.ndarray, states: list
+    ) -> None:
+        self.specific = specific
+        self.marked_mask = marked_mask
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.marked_mask)
+
+    @classmethod
+    def from_ranges(cls, n_dims: int, ranges: Sequence[Range]) -> "RangeColumns":
+        """The columns of a :class:`Range` list (one Python pass over it)."""
+        rows = [[STAR_CODE if v is None else v for v in r.specific] for r in ranges]
+        specific = (
+            np.asarray(rows, dtype=np.int32)
+            if rows
+            else np.empty((0, n_dims), dtype=np.int32)
+        )
+        masks = np.fromiter((r.mask for r in ranges), dtype=np.int64, count=len(ranges))
+        return cls(specific, masks, [r.state for r in ranges])
+
+    def to_ranges(self) -> list[Range]:
+        """One :class:`Range` per row, ``*`` codes turned back into ``None``."""
+        codes = self.specific.astype(object)
+        codes[self.specific == STAR_CODE] = None
+        dims = [codes[:, d].tolist() for d in range(codes.shape[1])]
+        cells = zip(*dims) if dims else [()] * len(self)
+        return list(map(Range, cells, self.marked_mask.tolist(), self.states))
+
+
+class RangeCube:
+    """The output of range cubing: disjoint ranges partitioning the cube.
+
+    Built from either a :class:`Range` list (``RangeCube(n, agg,
+    ranges)``) or the :class:`RangeColumns` Algorithm 2 emits
+    (``columns=``); the other form is derived on first use and cached.
+    """
+
+    def __init__(
+        self,
+        n_dims: int,
+        aggregator: Aggregator,
+        ranges: list[Range] | None = None,
+        *,
+        columns: RangeColumns | None = None,
+    ) -> None:
+        if (ranges is None) == (columns is None):
+            raise TypeError("RangeCube takes exactly one of ranges and columns")
         self.n_dims = n_dims
         self.aggregator = aggregator
-        self.ranges = ranges
+        self._ranges = ranges
+        self._columns = columns
         self._index = None
         self._columnar = None
         # Reentrant: building the index under the lock may itself call
@@ -133,15 +202,47 @@ class RangeCube:
         self.__dict__.setdefault("_columnar", None)
         self._index_lock = threading.RLock()
 
+    # -- the two forms ----------------------------------------------------
+
+    @property
+    def ranges(self) -> list[Range]:
+        """The ranges as :class:`Range` objects, in range order.
+
+        A cube built from columns builds this list on first access (one
+        :class:`Range` per row, about 2 µs and 170 bytes each) and keeps
+        it, so identities and in-place edits persist across accesses.
+        The columns, and so every lookup, stay as emitted.
+        """
+        ranges = self._ranges
+        if ranges is None:
+            with self._index_lock:
+                ranges = self._ranges
+                if ranges is None:
+                    ranges = self._ranges = self._columns.to_ranges()
+        return ranges
+
+    @property
+    def columns(self) -> RangeColumns:
+        """The ranges as :class:`RangeColumns` (derived once from a list)."""
+        columns = self._columns
+        if columns is None:
+            with self._index_lock:
+                columns = self._columns
+                if columns is None:
+                    columns = self._columns = RangeColumns.from_ranges(
+                        self.n_dims, self._ranges
+                    )
+        return columns
+
     # -- size ------------------------------------------------------------
 
     @property
     def n_ranges(self) -> int:
         """The paper's "number of tuples in the range cube"."""
-        return len(self.ranges)
+        return len(self._columns if self._columns is not None else self._ranges)
 
     def __len__(self) -> int:
-        return len(self.ranges)
+        return self.n_ranges
 
     @property
     def n_cells(self) -> int:
@@ -149,7 +250,11 @@ class RangeCube:
 
         Valid because the ranges are disjoint: the sizes simply add up.
         """
-        return sum(1 << r.mask.bit_count() for r in self.ranges)
+        if self._columns is not None:
+            masks = self._columns.marked_mask.tolist()
+        else:
+            masks = (r.mask for r in self._ranges)
+        return sum(1 << m.bit_count() for m in masks)
 
     def tuple_ratio(self, full_cube_cells: int | None = None) -> float:
         """Range-cube tuples over full-cube cells (paper's space metric)."""
@@ -288,18 +393,17 @@ class RangeCube:
 
         Delegates to a lazily built :class:`~repro.core.range_index.RangeCubeIndex`.
         """
-        found = self._ensure_index().find(cell)
-        return None if found is None else found.state
+        return self._ensure_index().lookup(cell)
 
     def lookup_batch(self, cells) -> list:
         """Aggregate states for a whole batch of cells (None marks empties).
 
-        Resolves the batch in one :meth:`RangeCubeIndex.find_batch` call
-        — above the columnar threshold that is a grouped postings /
-        cuboid-map resolution instead of per-cell hash probing.
+        Resolves the batch in one :meth:`RangeCubeIndex.lookup_batch`
+        call — above the columnar threshold that is a grouped postings /
+        cuboid-map resolution to range ids and their ``states[rid]``,
+        instead of per-cell hash probing.
         """
-        found = self._ensure_index().find_batch(cells)
-        return [None if r is None else r.state for r in found]
+        return self._ensure_index().lookup_batch(cells)
 
     def range_of(self, cell: Cell):
         """The unique range containing ``cell`` (None if the cell is empty)."""

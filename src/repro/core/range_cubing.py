@@ -23,8 +23,10 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+import numpy as np
+
 from repro.compat import legacy_call_shim
-from repro.core.range_cube import Range, RangeCube
+from repro.core.range_cube import STAR_CODE, RangeColumns, RangeCube
 from repro.core.range_trie import RangeTrie, RangeTrieNode
 from repro.core.reduction import reduce_trie
 from repro.obs import get_registry, get_tracer
@@ -162,19 +164,14 @@ def range_cubing_detailed(
         _record_bulk_phases(phases, build_span.start_wall, build_span)
         t1 = time.perf_counter()
         with _TRACER.span("traverse"):
-            ranges = _traverse(trie, agg, min_support)
+            columns = _traverse(trie, agg, min_support)
         t2 = time.perf_counter()
-
-        if plan is not None and not plan.is_identity:
-            with _TRACER.span("remap"):
-                ranges = plan.restore_ranges(ranges)
-        elif order is not None:
-            with _TRACER.span("remap"):
-                ranges = _remap_ranges(ranges, order)
+        with _TRACER.span("remap"):
+            columns = _restore(columns, plan, order)
         with _TRACER.span("stats"):
             census = trie.stats()
         root.set_attribute("trie_nodes", census.nodes)
-        root.set_attribute("n_ranges", len(ranges))
+        root.set_attribute("n_ranges", len(columns))
     _BUILDS.inc(strategy=build_strategy)
     _BUILD_ROWS.inc(table.n_rows)
     _PHASE_SECONDS.observe(t1 - t0, phase="build")
@@ -195,26 +192,59 @@ def range_cubing_detailed(
     if plan is not None:
         stats["tune_seconds"] = tune_seconds
         stats["tuning"] = plan.to_json()
-    return RangeCube(table.n_dims, agg, ranges), stats
+    return RangeCube(table.n_dims, agg, columns=columns), stats
 
 
-def _traverse(trie: RangeTrie, agg: Aggregator, min_support: int) -> list[Range]:
-    """Algorithm 2: emit one range per node over successive trie reductions."""
+class _Emitter:
+    """Growable buffers the traversal appends each emitted range to.
+
+    ``codes`` holds every range's specific codes back to back
+    (:data:`STAR_CODE` for ``*``), ``masks`` the marked masks and
+    ``states`` the node aggregates.  Appending to flat lists allocates
+    no cell tuple or :class:`Range` per range; :meth:`columns` turns
+    them into numpy columns in one pass each.
+    """
+
+    __slots__ = ("codes", "masks", "states")
+
+    def __init__(self) -> None:
+        self.codes: list[int] = []
+        self.masks: list[int] = []
+        self.states: list = []
+
+    def columns(self, n_dims: int) -> RangeColumns:
+        n = len(self.masks)
+        specific = np.fromiter(self.codes, dtype=np.int32, count=n * n_dims)
+        return RangeColumns(
+            specific.reshape(n, n_dims),
+            np.fromiter(self.masks, dtype=np.int64, count=n),
+            self.states,
+        )
+
+
+def _traverse(trie: RangeTrie, agg: Aggregator, min_support: int) -> RangeColumns:
+    """Algorithm 2: emit one range per node over successive trie reductions.
+
+    The ranges come back as :class:`RangeColumns` in the trie's own
+    dimension order and coding; :func:`_restore` maps them back.
+    """
     n = trie.n_dims
-    ranges: list[Range] = []
+    out = _Emitter()
     if trie.root.agg is not None and agg.count(trie.root.agg) >= min_support:
         # The apex cell (*, ..., *) is its own single-cell range.
-        ranges.append(Range((None,) * n, 0, trie.root.agg))
+        out.codes.extend([STAR_CODE] * n)
+        out.masks.append(0)
+        out.states.append(trie.root.agg)
     if trie.root.children:
-        _cube(trie.root, [None] * n, 0, ranges, agg, min_support)
-    return ranges
+        _cube(trie.root, [STAR_CODE] * n, 0, out, agg, min_support)
+    return out.columns(n)
 
 
 def _cube(
     node: RangeTrieNode,
     specific: list,
     mask: int,
-    out: list[Range],
+    out: _Emitter,
     agg: Aggregator,
     min_support: int,
 ) -> None:
@@ -228,6 +258,9 @@ def _cube(
     """
     count = agg.count
     merge = agg.merge
+    add_codes = out.codes.extend
+    add_mask = out.masks.append
+    add_state = out.states.append
     while node.children:
         for child in node.children.values():
             if min_support > 1 and count(child.agg) < min_support:
@@ -239,64 +272,54 @@ def _cube(
             for dim, value in key[1:]:
                 child_specific[dim] = value
                 child_mask |= 1 << dim
-            out.append(Range(tuple(child_specific), child_mask, child.agg))
+            add_codes(child_specific)
+            add_mask(child_mask)
+            add_state(child.agg)
             if child.children:
                 _cube(child, child_specific, child_mask, out, agg, min_support)
         node = reduce_trie(node, merge)
 
 
 def _remap_ranges(
-    ranges: Sequence[Range],
+    columns: RangeColumns,
     order: Sequence[int],
     value_maps: dict[int, Sequence[int]] | None = None,
-) -> list[Range]:
-    """Translate ranges from permuted dimension space back to the original.
+) -> RangeColumns:
+    """Translate emitted columns from permuted dimension space back to the original.
 
-    The inverse permutation (and the per-bit mask translation) is computed
-    once for the whole cube rather than once per range.  ``value_maps``
-    optionally carries, per *original* dimension, the inverse value
-    permutation of a tuning plan (``original_code = value_maps[d][code]``);
-    codes outside a map's domain pass through unchanged, matching the
-    forward transform's handling of late-appended values.
+    One column gather (original dimension ``d`` reads the permuted column
+    holding it), one bit permutation of the marked masks and, per entry
+    of ``value_maps`` — the inverse value permutation of a tuning plan,
+    keyed by *original* dimension (``original_code = value_maps[d][code]``)
+    — one ``np.take``.  ``*`` and codes outside a map's domain pass
+    through unchanged, matching the forward transform's handling of
+    late-appended values.  Range order and states are kept.
     """
-    n = len(order)
-    # gather[old_dim] = new_dim: position to read each original dim from.
-    gather = [0] * n
-    mask_for_bit = [0] * n  # new_dim bit -> old_dim bit
+    specific = np.take(columns.specific, np.argsort(np.asarray(order)), axis=1)
+    masks = np.zeros_like(columns.marked_mask)
     for new_dim, old_dim in enumerate(order):
-        gather[old_dim] = new_dim
-        mask_for_bit[new_dim] = 1 << old_dim
-    restore = None
-    if value_maps:
-        maps = {d: m for d, m in value_maps.items()}
-
-        def restore(old_dim: int, code):
-            m = maps.get(old_dim)
-            if code is None or m is None or not (0 <= code < len(m)):
-                return code
-            return int(m[code])
-
-    out = []
-    for r in ranges:
-        spec = r.specific
-        remaining = r.mask
-        mask = 0
-        while remaining:
-            low = remaining & -remaining
-            mask |= mask_for_bit[low.bit_length() - 1]
-            remaining ^= low
-        if restore is None:
-            values = tuple(spec[g] for g in gather)
-        else:
-            values = tuple(restore(d, spec[gather[d]]) for d in range(n))
-        out.append(Range(values, mask, r.state))
-    return out
+        masks |= (columns.marked_mask >> new_dim & 1) << old_dim
+    for dim, value_map in (value_maps or {}).items():
+        codes = specific[:, dim]
+        inside = (codes >= 0) & (codes < len(value_map))
+        codes[inside] = np.take(value_map, codes[inside])
+    return RangeColumns(specific, masks, columns.states)
 
 
-def _remap_range(r: Range, order: Sequence[int]) -> Range:
-    """Translate one range back to the original dimension order.
+def _restore(
+    columns: RangeColumns,
+    plan: TuningPlan | None,
+    order: Sequence[int] | None,
+) -> RangeColumns:
+    """Emitted columns back in the table's original order and coding.
 
-    Kept for callers remapping a single range; batch callers use
-    :func:`_remap_ranges`, which hoists the permutation setup.
+    Every build path ends here with what :func:`~repro.tune.resolve_plan`
+    gave it: a plan restores through :meth:`TuningPlan.restore_ranges`
+    (a no-op for an identity plan), a static order through
+    :func:`_remap_ranges`, and an as-is build needs nothing.
     """
-    return _remap_ranges([r], order)[0]
+    if plan is not None:
+        return plan.restore_ranges(columns)
+    if order is not None:
+        return _remap_ranges(columns, order)
+    return columns

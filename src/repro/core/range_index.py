@@ -69,7 +69,7 @@ class RangeCubeIndex:
             )
         self.cube = cube
         self.scan_fallbacks = 0
-        self._n_ranges = len(cube.ranges)
+        self._n_ranges = cube.n_ranges
         if strategy == "auto":
             strategy = "columnar" if prefers_columnar(cube) else "hash"
         self.strategy = strategy
@@ -133,3 +133,27 @@ class RangeCubeIndex:
         if self._store is not None:
             return self._store.find_batch(cells)
         return [self.find(cell) for cell in cells]
+
+    def lookup(self, cell: Cell):
+        """The aggregate state of ``cell``'s range (None when empty).
+
+        On the columnar path the range id resolves straight to the
+        store's ``states[rid]``, so no :class:`Range` object is built.
+        """
+        if self._store is None:
+            found = self.find(cell)
+            return None if found is None else found.state
+        self._check_arity(cell)
+        rid = self._store.find_id(cell)
+        return None if rid < 0 else self._store.states[rid]
+
+    def lookup_batch(self, cells: Sequence[Cell]) -> list:
+        """:meth:`lookup` for a whole batch, resolved as in :meth:`find_batch`."""
+        if self._store is None:
+            return [None if r is None else r.state for r in self.find_batch(cells)]
+        for cell in cells:
+            self._check_arity(cell)
+        states = self._store.states
+        return [
+            None if rid < 0 else states[rid] for rid in self._store.find_batch_ids(cells)
+        ]

@@ -319,14 +319,15 @@ class TuningPlan:
         )
         return BaseTable(schema, codes, table.measures, None)
 
-    def restore_ranges(self, ranges):
-        """Ranges emitted in planned trie space -> original space."""
+    def restore_ranges(self, columns):
+        """:class:`~repro.core.range_cube.RangeColumns` emitted in planned
+        trie space -> original space (the same columns for an identity plan)."""
         from repro.core.range_cubing import _remap_ranges
 
         if self.is_identity:
-            return list(ranges)
+            return columns
         return _remap_ranges(
-            ranges, self.dim_order, value_maps=self.inverse_value_orders or None
+            columns, self.dim_order, value_maps=self.inverse_value_orders or None
         )
 
     def original_assignment(
@@ -495,9 +496,9 @@ def resolve_plan(table, dim_order) -> tuple[TuningPlan | None, tuple[int, ...] |
     ``None`` (as-is), the ``"auto"`` sentinel (run the planner), a
     prepared :class:`TuningPlan`, or an explicit dimension sequence.
     At most one of the returned values is non-``None``.  A returned plan
-    may be an identity plan — callers should check ``plan.is_identity``
-    and skip the transform/remap round trip (its ``transform_table`` and
-    ``restore_ranges`` are no-ops), while still reporting the plan.
+    may be an identity plan, whose ``transform_table`` and
+    ``restore_ranges`` hand their input back unchanged; callers still
+    report it.
     """
     if dim_order is None:
         return None, None

@@ -27,6 +27,14 @@ def test_all_figures_are_covered(results):
         assert any(i.startswith(prefix) for i in ids), prefix
 
 
+def test_fig11_detail_names_every_scale_point(results):
+    from repro.harness.fig11_scalability import PRESETS
+
+    (fig11,) = [r for r in results if r.claim_id == "fig11-scaling"]
+    for n_rows, _ in PRESETS["tiny"]["points"]:
+        assert f"{n_rows} rows " in fig11.detail
+
+
 def test_main_prints_and_returns_zero(results, capsys, monkeypatch):
     import repro.harness.claims as claims_module
 

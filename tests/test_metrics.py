@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines.htree import HTree
@@ -95,6 +96,24 @@ def test_latency_histogram_percentiles_bracket_the_samples():
     assert h.percentile(100) == pytest.approx(h.max, rel=0.13)
     assert h.percentile(100) <= h.max  # clamped: never overstates the extreme
     assert h.percentile(50) <= h.percentile(95) <= h.percentile(99)
+
+
+def test_latency_histogram_tracks_numpy_and_a_sub_bucket_shift():
+    """A 12% latency shift, smaller than one 1.25x bucket, must show."""
+    rng = np.random.default_rng(0)
+    base = rng.lognormal(np.log(0.55e-3), 0.5, 20_000)
+    reported = {}
+    for scale in (1.00, 1.12):
+        samples = base * scale
+        h = LatencyHistogram()
+        for s in samples.tolist():
+            h.record(s)
+        for q in (50, 99):
+            exact = float(np.percentile(samples, q, method="inverted_cdf"))
+            assert h.percentile(q) == pytest.approx(exact, rel=0.03)
+            reported[scale, q] = h.percentile(q)
+    for q in (50, 99):
+        assert reported[1.12, q] / reported[1.00, q] > 1.06
 
 
 def test_latency_histogram_merge_equals_combined_recording():

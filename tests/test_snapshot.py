@@ -483,6 +483,33 @@ def test_cli_snapshot_save_inspect_load(tmp_path, capsys):
     assert "first query" in output
 
 
+def test_cli_snapshot_save_frees_the_build(tmp_path, monkeypatch):
+    # A cube and its columnar store reference each other; the command
+    # must free both before it returns, not leave them to a later
+    # collection in a process that goes on to build again.
+    import sys
+    import weakref
+
+    from repro.cli import main
+    from repro.data.io import write_table_csv
+
+    cubing = sys.modules["repro.core.range_cubing"]
+    built = []
+
+    def keep_a_weak_reference(*args, **kwargs):
+        cube, stats = real(*args, **kwargs)
+        built.append(weakref.ref(cube))
+        return cube, stats
+
+    real = cubing.range_cubing_detailed
+    monkeypatch.setattr(cubing, "range_cubing_detailed", keep_a_weak_reference)
+    csv = tmp_path / "t.csv"
+    write_table_csv(_int_table(n_rows=300, n_dims=4), csv)
+    out = tmp_path / "t.snapshot"
+    assert main(["snapshot", "save", str(csv), "--measures", "1", "--out", str(out)]) == 0
+    assert len(built) == 1 and built[0]() is None
+
+
 def test_cli_serve_requires_exactly_one_source(capsys):
     from repro.cli import main
 
