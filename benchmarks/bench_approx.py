@@ -35,6 +35,11 @@ import numpy as np
 from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.serve import QueryEngine, QueryRequest
 
+try:
+    from benchmarks.provenance import provenance
+except ModuleNotFoundError:  # executed as a script: the helper is a sibling
+    from provenance import provenance
+
 #: Acceptance floors: the sketch must beat the exact path by this factor
 #: on the heavy-dice workload, and the exact answer must land inside the
 #: reported 95% interval on at least this fraction of queries.
@@ -219,6 +224,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "approx_dice",
+                    "provenance": provenance(),
                     "n_rows": n_rows,
                     "n_dims": N_DIMS,
                     "cardinality": CARD,

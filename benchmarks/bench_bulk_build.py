@@ -34,12 +34,14 @@ from repro.table.aggregates import SumCountAggregator
 
 try:
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 except ModuleNotFoundError:  # executed as a script: put the repo root on the path
     import pathlib
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 
 #: Acceptance floor for the tuple:bulk build-time ratio at the largest point.
 MIN_SPEEDUP = 3.0
@@ -306,6 +308,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "bulk_build",
+                    "provenance": provenance(),
                     "n_dims": N_DIMS,
                     "theta": THETA,
                     "dependencies": [[list(f.source_dims), list(f.target_dims)] for f in FDS],

@@ -37,12 +37,14 @@ from repro.tune import plan_table
 
 try:
     from benchmarks.conftest import DIMORDER_WORKLOADS, PRESET, cached_correlated, run_once
+    from benchmarks.provenance import provenance
 except ModuleNotFoundError:  # executed as a script: put the repo root on the path
     import pathlib
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import DIMORDER_WORKLOADS, PRESET, cached_correlated, run_once
+    from benchmarks.provenance import provenance
 
 #: auto's build may cost at most this factor of the best static build.
 TOLERANCE = 1.15
@@ -208,6 +210,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "dimorder",
+                    "provenance": provenance(),
                     "n_rows": n_rows,
                     "tolerance": args.tolerance,
                     "min_worst_ratio": args.min_worst_ratio,

@@ -38,12 +38,14 @@ from repro.data.correlated import FunctionalDependency, correlated_table
 
 try:
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 except ModuleNotFoundError:  # executed as a script: put the repo root on the path
     import pathlib
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 
 SCALES = {
     "tiny": {"n_rows": 400, "n_dims": 4, "cardinality": 20},
@@ -319,6 +321,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "point_queries",
+                    "provenance": provenance(),
                     "n_dims": N_DIMS,
                     "theta": THETA,
                     "dependencies": [

@@ -42,6 +42,11 @@ import numpy as np
 from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.serve import QueryEngine, QueryRequest, ShardRouter
 
+try:
+    from benchmarks.provenance import provenance
+except ModuleNotFoundError:  # executed as a script: the helper is a sibling
+    from provenance import provenance
+
 #: Acceptance floor: the 4-shard router must beat the single engine by
 #: this factor on the routed batch workload at the 100k-row point.
 MIN_SPEEDUP = 2.0
@@ -239,6 +244,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "sharded_scatter_gather",
+                    "provenance": provenance(),
                     "n_rows": N_ROWS,
                     "n_dims": N_DIMS,
                     "cardinality": CARD,

@@ -39,12 +39,14 @@ from repro.table.schema import Dimension, Schema
 
 try:
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 except ModuleNotFoundError:  # executed as a script: put the repo root on the path
     import pathlib
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 
 # The correlated workload and query mix of the point-query bench, so the
 # two benches describe the same cube from the build and restart sides.
@@ -306,6 +308,7 @@ def main(argv=None) -> int:
             json.dump(
                 {
                     "benchmark": "snapshot",
+                    "provenance": provenance(),
                     "n_dims": N_DIMS,
                     "theta": THETA,
                     "dependencies": [

@@ -4,14 +4,23 @@ A warehouse rarely recomputes its cube from scratch — facts arrive in
 batches.  Because the range trie is invariant to insertion order, a
 resident :class:`~repro.core.incremental.IncrementalRangeCuber` absorbs
 each day's load and re-emits the range cube on demand, and the result is
-*identical* to a full recompute over the whole history.  This script
-simulates a week of loads, refreshes after each, verifies the refresh
-against a batch recompute, and reports how the amortized refresh cost
-compares.
+the same range cube as a full recompute over the whole history.  This
+script simulates a week of loads, refreshes after each, verifies the
+refresh against a batch recompute, and reports how the amortized refresh
+cost compares.
+
+The recompute keeps the as-is dimension order (``dim_order=None``), as
+the cuber does: the default ``"auto"`` planner may pick another order,
+and so another, equally valid, decomposition into ranges.  Cells, range
+counts and COUNTs match exactly.  SUMs match to rounding only: the two
+builds add the same measure values in different orders — the
+summation-order caveat the tuning tests carry, and an open float
+determinism item in ROADMAP.md.
 
 Run:  python examples/incremental_updates.py
 """
 
+import math
 import time
 
 import numpy as np
@@ -40,6 +49,19 @@ def concatenate(tables):
     return BaseTable(first.schema, codes, measures)
 
 
+def assert_same_cube(incremental, batch) -> None:
+    """Same cells, ranges and COUNTs; other components equal to rounding."""
+    assert incremental.n_ranges == batch.n_ranges
+    got, want = dict(incremental.expand()), dict(batch.expand())
+    assert got.keys() == want.keys()
+    for cell, state in want.items():
+        other = got[cell]
+        assert other[0] == state[0], cell
+        assert all(
+            math.isclose(a, b, rel_tol=1e-12) for a, b in zip(other[1:], state[1:])
+        ), cell
+
+
 def main() -> None:
     cuber = IncrementalRangeCuber(N_DIMS)
     history = []
@@ -54,16 +76,16 @@ def main() -> None:
         refresh_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        batch_cube = range_cubing(concatenate(history))
+        batch_cube = range_cubing(concatenate(history), dim_order=None)
         batch_seconds = time.perf_counter() - start
 
-        assert cube.n_ranges == batch_cube.n_ranges
-        assert dict(cube.expand()) == dict(batch_cube.expand())
+        assert_same_cube(cube, batch_cube)
 
         print(f"{day:>4}  {cuber.n_rows_absorbed:>10,}  {cuber.trie_nodes:>10,}  "
               f"{refresh_seconds:>11.3f}  {batch_seconds:>19.3f}")
 
-    print("\nevery refresh verified equal to a from-scratch recompute;")
+    print("\nevery refresh verified against a from-scratch recompute")
+    print("(same cells, ranges and COUNTs; SUMs equal to rounding);")
     print("the incremental path only pays insertion for the new batch plus")
     print("the traversal, while the batch path re-inserts the whole history.")
 

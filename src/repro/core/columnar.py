@@ -51,6 +51,7 @@ one store per immutable cube version.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from functools import cached_property, reduce
 from operator import itemgetter
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.range_cube import STAR_CODE
+from repro.core.range_cube import STAR_CODE, RangeColumns
 from repro.cube.cell import Cell
 from repro.obs import OBS_STATE, get_registry, get_tracer
 from repro.table.aggregates import Aggregator, CountAggregator, SumCountAggregator
@@ -235,7 +236,9 @@ class ColumnarRangeStore:
                 f"columnar store supports up to {MAX_COLUMNAR_DIMS} dims, "
                 f"cube has {cube.n_dims}"
             )
-        self.cube = cube
+        # Only a weak reference back: the cube caches this store, and a
+        # strong pair would outlive the cube until a cyclic collection.
+        self._cube = weakref.ref(cube)
         self.aggregator = cube.aggregator
         self.n_dims = cube.n_dims
         n = cube.n_dims
@@ -272,8 +275,15 @@ class ColumnarRangeStore:
 
     @cached_property
     def ranges(self) -> list["Range"]:
-        """The cube's :class:`Range` list, built only when asked for."""
-        return self.cube.ranges
+        """The cube's :class:`Range` list, built only when asked for.
+
+        The cube's own list while it lives (so range identities match);
+        rebuilt from the frozen columns once it is gone.
+        """
+        cube = self._cube()
+        if cube is not None:
+            return cube.ranges
+        return RangeColumns(self.specific, self.marked_mask, self.states).to_ranges()
 
     # -- memoization policy ----------------------------------------------
 

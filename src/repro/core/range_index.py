@@ -67,20 +67,23 @@ class RangeCubeIndex:
             raise ValueError(
                 f"unknown strategy {strategy!r}; use 'auto', 'hash' or 'columnar'"
             )
-        self.cube = cube
+        # No reference back to the cube, which caches this index: it
+        # holds only what it reads (a strong pair would outlive the cube
+        # until a cyclic collection).
+        self.n_dims = cube.n_dims
         self.scan_fallbacks = 0
         self._n_ranges = cube.n_ranges
         if strategy == "auto":
             strategy = "columnar" if prefers_columnar(cube) else "hash"
         self.strategy = strategy
         self._store = cube.to_columnar() if strategy == "columnar" else None
-        # The general-endpoint hash map only exists on the hash path;
-        # building it for a columnar cube would double the index memory
-        # for a structure no lookup touches.
+        # The range list and its general-endpoint hash map only exist on
+        # the hash path; building them for a columnar cube would double
+        # the index memory for structures no lookup touches.
+        self._ranges: list[Range] = [] if self._store is not None else cube.ranges
         self._by_general: dict[Cell, list[Range]] = {}
-        if self._store is None:
-            for r in cube.ranges:
-                self._by_general.setdefault(r.general, []).append(r)
+        for r in self._ranges:
+            self._by_general.setdefault(r.general, []).append(r)
 
     def __len__(self) -> int:
         return self._n_ranges
@@ -88,15 +91,15 @@ class RangeCubeIndex:
     def _scan(self, cell: Cell) -> Range | None:
         self.scan_fallbacks += 1
         _SCAN_FALLBACKS.inc()
-        for r in self.cube.ranges:
+        for r in self._ranges:
             if r.contains(cell):
                 return r
         return None
 
     def _check_arity(self, cell: Cell) -> None:
-        if len(cell) != self.cube.n_dims:
+        if len(cell) != self.n_dims:
             raise ValueError(
-                f"query cell has {len(cell)} dims, cube has {self.cube.n_dims}"
+                f"query cell has {len(cell)} dims, cube has {self.n_dims}"
             )
 
     def find(self, cell: Cell) -> Range | None:

@@ -16,8 +16,11 @@ The pieces, bottom up:
 * :class:`~repro.serve.store.CubeStore` — named cube persistence
   (resident trie + schema) with atomic file replacement;
 * :class:`~repro.serve.engine.QueryEngine` — point/roll-up/drill-down/
-  slice queries over a versioned cube snapshot, with a serialized write
-  path that appends fact batches and swaps in a fresh cube atomically;
+  slice/dice queries over a versioned cube snapshot, with a serialized
+  write path that appends fact batches and swaps in a fresh cube
+  atomically.  Its request pipeline, :class:`~repro.serve.engine.Engine`
+  (cache, plan into state items, resolve, merge), is shared verbatim by
+  the snapshot engine and the shard router;
 * :class:`~repro.serve.http.CubeServer` — a stdlib threaded JSON/HTTP
   front end over one engine, with telemetry endpoints (``GET /metrics``
   Prometheus text, ``GET /trace`` spans, ``GET /slowlog`` — see

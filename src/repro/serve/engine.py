@@ -1,32 +1,37 @@
-"""The serving query engine: a resident cube behind a versioned cache.
+"""The serving engines: one request pipeline over pluggable cube backends.
 
-One :class:`QueryEngine` owns three pieces of state:
+Every tier — the resident :class:`QueryEngine`, the snapshot-backed
+:class:`~repro.store.engine.SnapshotEngine` and the sharded
+:class:`~repro.serve.sharded.ShardRouter` — answers through the one
+pipeline of :class:`Engine`:
 
-* an :class:`~repro.core.incremental.IncrementalRangeCuber` — the write
-  path.  Fact batches are appended into its resident trie; only the
-  single writer (serialized by a lock) ever touches it.
-* a :class:`CubeVersion` — the read path: an immutable bundle of the
-  emitted :class:`~repro.core.range_cube.RangeCube`, its point-query
-  index and a :class:`~repro.cube.query.CubeQuery`, stamped with a
-  monotonically increasing version number.  Readers snapshot the current
-  bundle once per request and never look back, so a concurrent refresh
-  cannot tear a response: every answer comes entirely from the pre- or
-  the post-refresh cube.
-* an :class:`~repro.serve.cache.LRUCache` of finalized results.  Keys
-  embed the version number, so entries cached against an old cube can
-  never be returned for a new one even before the post-swap
-  ``invalidate_all`` (which exists to free the memory, not for
-  correctness).
+1. **decode and admit** — the request is coerced to a
+   :class:`~repro.serve.protocol.QueryRequest` and checked (op, pinned
+   version, approx knobs) against the current :class:`CubeVersion`;
+2. **cache** — a hit returns the stored response with no planning;
+3. **plan** — a miss is validated and turned into *state items*
+   (``point``, ``children``, ``dice``, ``approx_dice``), the vocabulary
+   the shard workers already speak;
+4. **resolve** — the backend turns the items into aggregate-state
+   partials: one local cube answers them directly
+   (:meth:`CubeVersion.resolve`), the shard router scatters them to the
+   workers that hold the relevant rows;
+5. **merge** — partial states fold through the aggregator's merge
+   algebra and finalize once into the wire response.
 
-The request/response surface is :meth:`QueryEngine.execute`, shared
-verbatim by the HTTP front end, the in-process client and the shard
-router — requests are :class:`~repro.serve.protocol.QueryRequest`
-(plain dicts still work through a deprecation shim), responses are the
-wire dicts those types serialize to, and every cell travels as a list
-with ``null`` for ``*``.  Dimension codes are the integers of the
-encoded base table, exactly as in ``repro query --bind``.  Failures are
-:class:`~repro.serve.protocol.ServeError` carrying the one
-:class:`~repro.serve.protocol.ErrorInfo` taxonomy.
+Each answer is the state of disjoint ranges (paper Lemma 3, Theorem 1)
+and distributive/algebraic partial states merge exactly, so a single
+cube is simply a fleet of one shard and every tier returns the same
+bytes.  Subclasses supply only what differs: the write path, readiness,
+the stats and EXPLAIN extras, and — for the router — the resolver.
+
+Readers take the current :class:`CubeVersion` once per request and
+never look back, so a concurrent refresh cannot tear a response.  The
+result cache's keys embed the version number, so entries cached against
+an old cube can never answer for a new one even before the post-swap
+``invalidate_all`` (which exists to free the memory, not for
+correctness).  Failures are :class:`~repro.serve.protocol.ServeError`
+carrying the one :class:`~repro.serve.protocol.ErrorInfo` taxonomy.
 """
 
 from __future__ import annotations
@@ -38,17 +43,23 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.approx import CubeSketch, SketchUnsupported, finalize_partials
-from repro.core.columnar import collect_explain, explain_collector
+from repro.approx import (
+    CubeSketch,
+    SketchUnsupported,
+    component_layout,
+    exact_partial,
+    finalize_partials,
+)
+from repro.core.columnar import collect_explain
 from repro.core.incremental import IncrementalRangeCuber
-from repro.core.range_cube import RangeCube
 from repro.cube.cell import Cell
-from repro.cube.query import CubeQuery
 from repro.obs import OBS_STATE, SlowQueryLog, get_registry, get_tracer
 from repro.serve.cache import LRUCache
 from repro.serve.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     ErrorCode,
+    ErrorInfo,
     QueryRequest,
     ServeError,
     coerce_request,
@@ -143,23 +154,8 @@ _APPROX_BOUND_WIDTH = _REGISTRY.histogram(
 #: Confidence level used when an approx request does not name one.
 DEFAULT_CONFIDENCE = 0.95
 
-
-def _make_op_series(ops: Sequence[str]) -> dict:
-    """Pre-bound (requests, seconds, errors) metric handles per op.
-
-    Label resolution costs a dict + tuple per call; engines bind the
-    per-op series once at construction instead.  Shared with the
-    read-only :class:`repro.store.SnapshotEngine`, which reuses this
-    module's request metrics so dashboards see one serving surface.
-    """
-    return {
-        op: (
-            _REQUESTS.labels(op=op),
-            _REQUEST_SECONDS.labels(op=op),
-            _REQUEST_ERRORS.labels(op=op),
-        )
-        for op in (*ops, "invalid")
-    }
+#: The ``approx`` block of a dice whose aggregator has no estimator.
+_UNSUPPORTED = {"fallback": True, "reason": "unsupported-aggregator"}
 
 
 def _register_engine_collector(engine: "QueryEngine") -> None:
@@ -218,69 +214,261 @@ def validate_rows(rows, measures, n_dims: int, n_measures: int):
     return clean_rows, clean_measures
 
 
-class CubeVersion:
-    """One immutable generation of the served cube.
+def covering_schema(schema: Schema, rows: Sequence[Sequence[int]] = ()) -> Schema:
+    """``schema`` with every cardinality grown to cover the codes in ``rows``.
 
-    Readers hold a reference for the duration of a request; the engine
+    Appended rows may carry codes past the schema's cardinalities; the
+    next version's schema must cover them, or drill-downs would not
+    offer the new codes as candidates.
+    """
+    cards = [c or 0 for c in schema.cardinalities]
+    for row in rows:
+        for d, code in enumerate(row):
+            if code >= cards[d]:
+                cards[d] = code + 1
+    return Schema(
+        tuple(d.with_cardinality(c) for d, c in zip(schema.dimensions, cards)),
+        schema.measures,
+    )
+
+
+class CubeVersion:
+    """One immutable generation of the served cube, and its local resolver.
+
+    Readers hold a reference for the duration of a request; an engine
     swaps in a fresh instance on refresh and never mutates an old one.
+    ``cube`` is a :class:`~repro.core.range_cube.RangeCube` or a mapped
+    :class:`~repro.store.engine.SnapshotCube` — or ``None`` for the shard
+    router, whose cube state lives in its workers.  The approx-tier
+    sketch is built on first use and dies with the version.
     """
 
-    __slots__ = ("version", "cube", "schema", "query")
+    __slots__ = ("version", "cube", "schema", "_sketch")
 
-    def __init__(self, version: int, cube: RangeCube, schema: Schema) -> None:
+    def __init__(self, version: int, cube, schema: Schema) -> None:
         self.version = version
         self.cube = cube
         self.schema = schema
-        self.query = CubeQuery(cube, schema, table=None)
+        self._sketch: tuple | None = None  # (seed, sketch or None) once built
+
+    def sketch(self, seed: int = 0) -> "CubeSketch | None":
+        """The cube's sampling sketch, loaded or built lazily.
+
+        A mapped snapshot carries its persisted sketch; a resident cube
+        builds one from its columnar layout.  ``seed`` must differ per
+        shard: the router sums per-shard variances, which is only sound
+        for independent samples.  ``None`` — cached too — means the
+        store cannot be estimated.
+        """
+        cached = self._sketch
+        if cached is not None and cached[0] == seed:
+            return cached[1]
+        store = self.cube.to_columnar()
+        sketch = getattr(store, "sketch", None)
+        if sketch is None:
+            try:
+                sketch = CubeSketch.from_store(store, seed=seed)
+            except SketchUnsupported:
+                sketch = None
+        # Benign race: concurrent first requests may build twice; the
+        # single attribute store keeps the swap atomic.
+        self._sketch = (seed, sketch)
+        return sketch
+
+    def resolve(
+        self, items: Sequence[tuple], *, pooled: Sequence[int] = (), sketch_seed: int = 0
+    ) -> list:
+        """One aggregate-state partial per state item, in order.
+
+        ``("point", cell)`` → the cell's state or None;
+        ``("children", cell, dim)`` → ``[(code, state)]`` for the
+        non-empty specializations along ``dim``; ``("dice", cell,
+        {dim: codes})`` → the merged state of the sub-cube;
+        ``("approx_dice", cell, {dim: codes}, having)`` → one mergeable
+        partial estimate (:meth:`repro.approx.CubeSketch.estimate_partial`).
+        Point items at the ``pooled`` positions resolve together through
+        one ``lookup_batch``; every other point item is one ``lookup``.
+        """
+        cube = self.cube
+        out: list = [None] * len(items)
+        if pooled:
+            states = cube.lookup_batch([items[i][1] for i in pooled])
+            for i, state in zip(pooled, states):
+                out[i] = state
+            pooled = set(pooled)
+        for i, item in enumerate(items):
+            kind = item[0]
+            if kind == "point":
+                if i not in pooled:
+                    out[i] = cube.lookup(item[1])
+            elif kind == "children":
+                out[i] = self._children(item[1], item[2])
+            elif kind == "dice":
+                out[i] = self._dice(item[1], item[2])
+            elif kind == "approx_dice":
+                out[i] = self._approx_dice(item[1], item[2], item[3], sketch_seed)
+            else:
+                raise ServeError(f"unknown state item kind {kind!r}")
+        return out
+
+    def _children(self, cell: Cell, dim: int) -> list[tuple[int, tuple]]:
+        """``(code, state)`` for the non-empty children of ``cell`` along ``dim``.
+
+        Candidates span the version's cardinality; a shard's candidates
+        span the global one, and codes it holds no rows for answer None,
+        so the cross-shard union is exactly the single-cube drill-down.
+        """
+        card = self.schema.dimensions[dim].cardinality or 0
+        head, tail = cell[:dim], cell[dim + 1:]
+        states = self.cube.lookup_batch([head + (code,) + tail for code in range(card)])
+        return [(code, state) for code, state in enumerate(states) if state is not None]
+
+    def _dice(self, cell: Cell, predicates: Mapping[int, Sequence[int]]) -> tuple | None:
+        """The merged state of one dice (``predicates`` hold deduped codes)."""
+        cube = self.cube
+        store = cube.columnar_if_worthwhile()
+        if store is not None:
+            base = {d: v for d, v in enumerate(cell) if v is not None}
+            value_sets = {d: set(codes) for d, codes in predicates.items()}
+            return store.merge_states(store.dice_ids(value_sets, base))
+        # Small cubes: merge the non-empty cells of the code cross product.
+        dims = list(predicates)
+        work = list(cell)
+        merge = cube.aggregator.merge
+        total = None
+
+        def walk(index: int) -> None:
+            nonlocal total
+            if index == len(dims):
+                state = cube.lookup(tuple(work))
+                if state is not None:
+                    total = state if total is None else merge(total, state)
+                return
+            for code in predicates[dims[index]]:
+                work[dims[index]] = code
+                walk(index + 1)
+            work[dims[index]] = None
+
+        walk(0)
+        return total
+
+    def _approx_dice(
+        self,
+        cell: Cell,
+        predicates: Mapping[int, Sequence[int]],
+        having: float | None,
+        seed: int,
+    ) -> dict:
+        """One mergeable partial estimate; bounds are computed once, at merge."""
+        sketch = self.sketch(seed)
+        if sketch is None:
+            # An estimable aggregator over a store without unpacked state
+            # columns: contribute the exact state with zero variance.
+            if having is not None:
+                raise ServeError(
+                    "this cube has no sampling sketch, and 'having' cannot be "
+                    "answered by the exact dice path"
+                )
+            return exact_partial(self.cube.aggregator, self._dice(cell, predicates))
+        base = {d: v for d, v in enumerate(cell) if v is not None}
+        return sketch.estimate_partial(base, predicates, having=having)
 
 
-class QueryEngine:
-    """Point/roll-up/drill-down/slice/dice queries over a refreshable cube."""
+class _Plan:
+    """One validated request: its state items plus the response shape."""
 
-    #: Ops accepted by :meth:`execute` (the protocol's op set).
-    OPS = ("point", "rollup", "drilldown", "slice", "dice")
+    __slots__ = (
+        "op", "items", "cell", "dim", "predicates", "free_dims",
+        "approx", "fallback", "confidence", "targets",
+    )
 
     def __init__(
         self,
-        cuber: IncrementalRangeCuber,
-        schema: Schema,
+        op: str,
+        items: tuple,
+        cell: Cell,
         *,
-        min_support: int = 1,
-        cache_capacity: int = 1024,
-        store: "CubeStore | None" = None,
-        name: str | None = None,
-        initial_version: int = 0,
-        initial_cube=None,
-        slow_query_threshold: float = 0.050,
+        dim: int | None = None,
+        predicates: dict | None = None,
+        free_dims: tuple[int, ...] = (),
+        approx: bool = False,
+        fallback: bool = False,
+        confidence: float | None = None,
+    ) -> None:
+        self.op = op
+        self.items = items
+        self.cell = cell
+        self.dim = dim
+        self.predicates = predicates
+        self.free_dims = free_dims
+        self.approx = approx  # answer from sketch partials, with bounds
+        self.fallback = fallback  # approx asked, aggregator not estimable
+        self.confidence = confidence
+        self.targets: tuple[int, ...] = ()  # the shards a router sends it to
+
+
+def _merge_children(agg: Aggregator, cell: Cell, dim: int, partials: list) -> list:
+    """Union per-shard ``(code, state)`` children, merged, in code order."""
+    if len(partials) == 1:
+        pairs = partials[0]  # one contributor: already in code order
+    else:
+        by_code: dict[int, tuple] = {}
+        for children in partials:
+            for code, state in children:
+                present = by_code.get(code)
+                by_code[code] = state if present is None else agg.merge(present, state)
+        pairs = sorted(by_code.items())
+    out = []
+    for code, state in pairs:
+        child = list(cell)
+        child[dim] = code
+        out.append({"cell": child, "value": agg.finalize(state)})
+    return out
+
+
+class Engine:
+    """The request pipeline every serving tier shares (see the module doc).
+
+    Subclasses set ``_version`` to a :class:`CubeVersion` and supply
+    ``append``, ``_stats_extras`` and, where they differ from the
+    resident defaults, ``readiness``, ``_explain_extras`` and
+    ``_resolve``.
+    """
+
+    #: Ops accepted by :meth:`execute` (the protocol's op set).
+    OPS = OPS
+
+    #: Refuse batches beyond this size (a single request must not pin a
+    #: worker thread for an unbounded amount of index work).
+    MAX_BATCH = 10_000
+
+    #: The EXPLAIN ``phases_us`` key of the resolve step.
+    _RESOLVE_PHASE = "resolve"
+
+    #: Whether every write is refused (a snapshot's one generation).
+    read_only = False
+
+    _version: CubeVersion
+
+    def __init__(
+        self,
+        aggregator: Aggregator,
+        *,
+        name: str | None,
+        min_support: int,
+        cache_capacity: int,
+        slow_query_threshold: float,
         slow_log_capacity: int = 128,
         slow_log_sample: int = 1,
     ) -> None:
-        if schema.n_dims != cuber.trie.n_dims:
-            raise ValueError(
-                f"schema has {schema.n_dims} dims, cuber has {cuber.trie.n_dims}"
-            )
-        if store is not None and name is None:
-            raise ValueError("a write-through store needs a cube name")
-        self._cuber = cuber
-        self._min_support = min_support
-        self._store = store
+        self._aggregator = aggregator
         self._name = name
-        self._write_lock = threading.Lock()
-        self._max_codes = [
-            (c or 0) - 1 if c is not None else -1 for c in schema.cardinalities
-        ]
-        self._measure_names = schema.measure_names
-        self._dimension_names = schema.dimension_names
-        # A plain attribute assignment swaps versions atomically.  An
-        # ``initial_cube`` (e.g. a mmap-loaded snapshot, see
-        # :mod:`repro.store`) skips the trie's cube emission entirely —
-        # the snapshot cold-start path; the first append replaces it
-        # with a freshly emitted resident cube as usual.
-        self._version = CubeVersion(
-            initial_version,
-            initial_cube if initial_cube is not None else cuber.cube(min_support),
-            self._current_schema(),
-        )
+        self._min_support = min_support
+        try:
+            component_layout(aggregator)
+            self._estimable = True
+        except SketchUnsupported:
+            self._estimable = False
         self.cache = LRUCache(cache_capacity)
         #: Requests slower than ``slow_query_threshold`` seconds are
         #: counted and (every ``slow_log_sample``-th one) retained here.
@@ -288,61 +476,15 @@ class QueryEngine:
             slow_query_threshold, slow_log_capacity, slow_log_sample
         )
         # Label resolution costs a dict + tuple per call; the read path
-        # instead uses these pre-bound per-op series handles.
-        self._op_series = _make_op_series(self.OPS)
-        _register_engine_collector(self)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_table(
-        cls,
-        table: BaseTable,
-        *,
-        aggregator: Aggregator | None = None,
-        min_support: int = 1,
-        cache_capacity: int = 1024,
-        dim_order="auto",
-    ) -> "QueryEngine":
-        """Build the resident trie from ``table`` and serve its cube.
-
-        ``dim_order`` tunes the resident trie only — answers are always
-        expressed in the table's own dimension order and value coding.
-        The default ``"auto"`` runs the sampling planner
-        (:mod:`repro.tune`); pass ``None`` to pin the as-is order, an
-        explicit sequence for a static order, or a prepared
-        :class:`~repro.tune.TuningPlan`.  Appends re-plan automatically
-        when observed cardinalities drift past the planned estimates.
-        """
-        from repro.tune import resolve_plan
-
-        agg = aggregator or default_aggregator(table.n_measures)
-        plan, order = resolve_plan(table, dim_order)
-        if plan is None and order is not None:
-            plan = TuningPlan(order, source="fixed")
-        cuber = IncrementalRangeCuber(table.n_dims, agg, plan=plan)
-        cuber.insert_table(table)
-        return cls(
-            cuber,
-            table.schema,
-            min_support=min_support,
-            cache_capacity=cache_capacity,
-        )
-
-    def _current_schema(self) -> Schema:
-        """The latest schema, cardinalities grown to cover appended codes."""
-        base = Schema.from_names(self._dimension_names, self._measure_names)
-        dims = tuple(
-            d.with_cardinality(max(self._max_codes[i] + 1, 0))
-            for i, d in enumerate(base.dimensions)
-        )
-        return Schema(dims, base.measures)
-
-    # ------------------------------------------------------------------
-    # read path
-    # ------------------------------------------------------------------
+        # instead uses these pre-bound (requests, seconds, errors) handles.
+        self._op_series = {
+            op: (
+                _REQUESTS.labels(op=op),
+                _REQUEST_SECONDS.labels(op=op),
+                _REQUEST_ERRORS.labels(op=op),
+            )
+            for op in (*self.OPS, "invalid")
+        }
 
     @property
     def version(self) -> int:
@@ -351,6 +493,10 @@ class QueryEngine:
     def snapshot(self) -> CubeVersion:
         """The current cube generation (stable for the caller's lifetime)."""
         return self._version
+
+    # ------------------------------------------------------------------
+    # validation
+    # ------------------------------------------------------------------
 
     def _resolve_dim(self, snap: CubeVersion, dim) -> int:
         if isinstance(dim, bool) or not isinstance(dim, (int, str)):
@@ -444,12 +590,6 @@ class QueryEngine:
             out[dim] = clean
         return out
 
-    @staticmethod
-    def _pair(cell: Cell, value) -> dict:
-        return {"cell": list(cell), "value": value}
-
-    # approximate tier --------------------------------------------------
-
     def _validate_approx(self, req: QueryRequest) -> float:
         """The validated confidence level of an approx request.
 
@@ -482,157 +622,173 @@ class QueryEngine:
             )
         return float(confidence)
 
-    def _sketch_for(self, snap: CubeVersion) -> "CubeSketch | None":
-        """The version's sketch, loaded or built lazily, cached per version.
+    def _admit(self, snap: CubeVersion, req: QueryRequest) -> str:
+        """The request's op after the checks every read passes first."""
+        op = req.op
+        if op not in self.OPS:
+            raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
+        if req.version is not None and req.version != snap.version:
+            raise ServeError(
+                f"request targets version {req.version}, engine serves {snap.version}",
+                code=ErrorCode.VERSION_CONFLICT,
+            )
+        if req.approx or req.confidence is not None or req.having is not None:
+            self._validate_approx(req)  # reject malformed approx shapes early
+        return op
 
-        A mapped snapshot carries its persisted sketch (built at
-        ``repro snapshot`` time, see :mod:`repro.store.snapshot`);
-        resident cubes build one from the columnar layout on first
-        approx request.  ``None`` — cached too, so the cost is paid
-        once — means the aggregator has no sampling estimator and
-        callers must fall back to the exact path.
-        """
-        cached = getattr(self, "_sketch_cache", None)
-        if cached is not None and cached[0] is snap:
-            return cached[1]
-        store = snap.cube.to_columnar()
-        sketch = getattr(store, "sketch", None)
-        if sketch is None:
-            try:
-                # ``_sketch_seed`` is set per shard by the sharded tier:
-                # shards sample independently, so the router may sum
-                # their variances.  Same-seed shards over similarly
-                # ordered partitions produce *correlated* samples and
-                # the merged interval undercovers.
-                sketch = CubeSketch.from_store(
-                    store, seed=getattr(self, "_sketch_seed", 0)
+    # ------------------------------------------------------------------
+    # plan, resolve, merge
+    # ------------------------------------------------------------------
+
+    def _plan(self, snap: CubeVersion, op: str, req: QueryRequest) -> _Plan:
+        """Validate one request and turn it into state items."""
+        if op == "point":
+            cell = self._normalize_cell(snap, req)
+            return _Plan(op, (("point", cell),), cell)
+        if op == "rollup":
+            cell = self._normalize_cell(snap, req)
+            dim = self._resolve_dim(snap, req.dim)
+            if cell[dim] is None:
+                raise ServeError(f"dimension {dim} is already * in the query cell")
+            up = cell[:dim] + (None,) + cell[dim + 1:]
+            return _Plan(op, (("point", up),), up, dim=dim)
+        if op == "drilldown":
+            cell = self._normalize_cell(snap, req)
+            dim = self._resolve_dim(snap, req.dim)
+            if cell[dim] is not None:
+                raise ServeError(f"dimension {dim} is already bound in the query cell")
+            return _Plan(op, (("children", cell, dim),), cell, dim=dim)
+        if op == "slice":
+            cell = self._normalize_cell(snap, req)
+            free = tuple(d for d in range(snap.schema.n_dims) if cell[d] is None)
+            items = tuple(("children", cell, d) for d in free)
+            return _Plan(op, items, cell, free_dims=free)
+        if op == "dice":
+            cell = self._normalize_cell(snap, req, default_apex=True)
+            predicates = self._normalize_predicates(snap, req, cell)
+            # Items carry deduped code lists (a repeated code must not
+            # double-count); the response echoes the validated predicates.
+            deduped = {d: list(dict.fromkeys(codes)) for d, codes in predicates.items()}
+            exact = (("dice", cell, deduped),)
+            if not req.approx:
+                return _Plan(op, exact, cell, predicates=predicates)
+            confidence = self._validate_approx(req)
+            having = None if req.having is None else float(req.having)
+            if self._estimable:
+                return _Plan(
+                    op, (("approx_dice", cell, deduped, having),), cell,
+                    predicates=predicates, approx=True, confidence=confidence,
                 )
-            except SketchUnsupported:
-                sketch = None
-        # Benign race: concurrent first requests may build twice; the
-        # single attribute store keeps the cache swap atomic.
-        self._sketch_cache = (snap, sketch)
-        return sketch
-
-    def _dice_approx(
-        self,
-        snap: CubeVersion,
-        cell: Cell,
-        predicates: Mapping[int, Sequence[int]],
-        request: QueryRequest,
-    ) -> dict:
-        """A dice answered from the sketch with probabilistic bounds.
-
-        Falls back to the exact scan (flagged in the ``approx`` block)
-        when the aggregator is not estimable — unless ``having`` is set,
-        which only the sketch tier can honor.
-        """
-        confidence = self._validate_approx(request)
-        response = {
-            "op": "dice",
-            "version": snap.version,
-            "predicates": {str(d): v for d, v in sorted(predicates.items())},
-            "cell": list(cell),
-        }
-        sketch = self._sketch_for(snap)
-        if sketch is None:
-            if request.having is not None:
+            if having is not None:
                 raise ServeError(
                     "this cube's aggregator has no sampling estimator, and "
                     "'having' cannot be answered by the exact dice path"
                 )
-            named = {
-                snap.schema.dimensions[d].name: values
-                for d, values in predicates.items()
+            return _Plan(op, exact, cell, predicates=predicates, fallback=True)
+        raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
+
+    def _resolve(
+        self,
+        snap: CubeVersion,
+        plans: Sequence[_Plan],
+        *,
+        pooled: bool = False,
+        account: dict | None = None,
+    ) -> list:
+        """Per plan: one partial list per item, or the plan's :class:`ErrorInfo`.
+
+        This is the local resolver — the version's own cube, a fleet of
+        one shard.  ``pooled`` (a batch) resolves the point requests
+        together through one ``lookup_batch``; ``account`` (EXPLAIN)
+        collects the index counters and the tier extras.
+        """
+        items: list = []
+        pool: list[int] = []
+        for plan in plans:
+            if pooled and plan.op == "point":
+                pool.append(len(items))
+            items.extend(plan.items)
+        if account is None:
+            states = snap.resolve(items, pooled=pool)
+        else:
+            with collect_explain() as acc:
+                states = snap.resolve(items, pooled=pool)
+            account.update(acc.data)
+            account.update(self._explain_extras(acc.data))
+        out = []
+        at = 0
+        for plan in plans:
+            out.append([[state] for state in states[at:at + len(plan.items)]])
+            at += len(plan.items)
+        return out
+
+    def _merge(
+        self, snap: CubeVersion, plan: _Plan, partials: list, account: dict | None = None
+    ) -> dict:
+        """Fold the partial states of one plan into its wire response."""
+        op = plan.op
+        agg = self._aggregator
+        version = snap.version
+        if op in ("point", "rollup"):
+            state = agg.merge_many(partials[0])
+            value = None if state is None else agg.finalize(state)
+            if op == "rollup":
+                return {
+                    "op": op, "version": version, "dim": plan.dim,
+                    "cell": list(plan.cell), "value": value,
+                }
+            return {"op": op, "version": version, "cell": list(plan.cell), "value": value}
+        if op == "drilldown":
+            return {
+                "op": op,
+                "version": version,
+                "dim": plan.dim,
+                "children": _merge_children(agg, plan.cell, plan.dim, partials[0]),
             }
-            value = snap.query.dice(named, cell)
-            if OBS_STATE.enabled:
-                _APPROX_FALLBACKS.inc(reason="unsupported-aggregator")
-            acc = explain_collector()
-            if acc is not None:
-                acc.put(
-                    "approx",
-                    {"fallback": True, "reason": "unsupported-aggregator"},
-                )
-            response["value"] = value
-            response["approx"] = {
-                "fallback": True,
-                "reason": "unsupported-aggregator",
-            }
+        if op == "slice":
+            children: list = []
+            for dim, item_partials in zip(plan.free_dims, partials):
+                children.extend(_merge_children(agg, plan.cell, dim, item_partials))
+            return {"op": op, "version": version, "children": children}
+        response = {
+            "op": op,
+            "version": version,
+            "predicates": {str(d): v for d, v in sorted(plan.predicates.items())},
+            "cell": list(plan.cell),
+        }
+        if not plan.approx:
+            state = agg.merge_many(partials[0])
+            response["value"] = None if state is None else agg.finalize(state)
+            if plan.fallback:
+                if OBS_STATE.enabled:
+                    _APPROX_FALLBACKS.inc(reason=_UNSUPPORTED["reason"])
+                response["approx"] = dict(_UNSUPPORTED)
+                if account is not None:
+                    account["approx"] = dict(_UNSUPPORTED)
             return response
-        base = {d: v for d, v in enumerate(cell) if v is not None}
-        partial = sketch.estimate_partial(base, predicates, having=request.having)
-        answer = finalize_partials(snap.cube.aggregator, [partial], confidence)
+        # Per-shard estimators are independent (disjoint row partitions,
+        # private samples): estimates and variances sum, and the interval
+        # is computed exactly once here.
+        answer = finalize_partials(agg, partials[0], plan.confidence)
         if OBS_STATE.enabled:
             _APPROX_REQUESTS.inc()
             _APPROX_BOUND_WIDTH.observe(answer.bound_width)
-        acc = explain_collector()
-        if acc is not None:
-            acc.put(
-                "approx",
-                {
-                    "estimator": answer.estimator,
-                    "sample_size": answer.sample_size,
-                    "matched": answer.matched,
-                    "bound_width": round(answer.bound_width, 6),
-                },
-            )
         response["value"] = answer.estimate
         response["approx"] = answer.to_block()
+        if any(p.get("estimator") == "exact" for p in partials[0]):
+            response["approx"]["fallback"] = True
+        if account is not None:
+            account["approx"] = {
+                "estimator": answer.estimator,
+                "sample_size": answer.sample_size,
+                "matched": answer.matched,
+                "bound_width": round(answer.bound_width, 6),
+            }
         return response
 
-    def _answer(self, snap: CubeVersion, op: str, request: QueryRequest) -> dict:
-        query = snap.query
-        if op == "point":
-            cell = self._normalize_cell(snap, request)
-            state = snap.cube.lookup(cell)
-            value = None if state is None else snap.cube.aggregator.finalize(state)
-            return {"op": op, "version": snap.version, **self._pair(cell, value)}
-        if op == "rollup":
-            cell = self._normalize_cell(snap, request)
-            dim = self._resolve_dim(snap, request.dim)
-            if cell[dim] is None:
-                raise ServeError(f"dimension {dim} is already * in the query cell")
-            up, value = query.roll_up(cell, snap.schema.dimensions[dim].name)
-            return {"op": op, "version": snap.version, "dim": dim, **self._pair(up, value)}
-        if op == "drilldown":
-            cell = self._normalize_cell(snap, request)
-            dim = self._resolve_dim(snap, request.dim)
-            if cell[dim] is not None:
-                raise ServeError(f"dimension {dim} is already bound in the query cell")
-            children = query.drill_down(cell, snap.schema.dimensions[dim].name)
-            return {
-                "op": op,
-                "version": snap.version,
-                "dim": dim,
-                "children": [self._pair(c, v) for c, v in children],
-            }
-        if op == "slice":
-            cell = self._normalize_cell(snap, request)
-            children = query.slice(cell)
-            return {
-                "op": op,
-                "version": snap.version,
-                "children": [self._pair(c, v) for c, v in children],
-            }
-        if op == "dice":
-            cell = self._normalize_cell(snap, request, default_apex=True)
-            predicates = self._normalize_predicates(snap, request, cell)
-            if request.approx:
-                return self._dice_approx(snap, cell, predicates, request)
-            named = {
-                snap.schema.dimensions[d].name: values
-                for d, values in predicates.items()
-            }
-            value = query.dice(named, cell)
-            return {
-                "op": op,
-                "version": snap.version,
-                "predicates": {str(d): v for d, v in sorted(predicates.items())},
-                "cell": list(cell),
-                "value": value,
-            }
-        raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
+    # ------------------------------------------------------------------
+    # the single-request path
+    # ------------------------------------------------------------------
 
     def _cache_key(self, snap: CubeVersion, op: str, request: QueryRequest):
         """The cache key for a request, built without full validation.
@@ -641,7 +797,7 @@ class QueryEngine:
         repeat request, so the key uses the raw ``cell`` list (or the
         canonicalized bindings) plus the raw ``dim``.  A malformed
         request therefore simply misses and fails validation in
-        :meth:`_answer`; the only laxity is that equality-compatible
+        :meth:`_plan`; the only laxity is that equality-compatible
         spellings of a code (``1.0``, ``True``) can hit an entry cached
         for the int — they denote the same cell.
         """
@@ -671,6 +827,15 @@ class QueryEngine:
                 )
             return (snap.version, op, cell, canonical)
         return (snap.version, op, cell)
+
+    def _cached(self, snap: CubeVersion, op: str, req: QueryRequest):
+        """``(cache key, hit or None)`` for one admitted request."""
+        key = self._cache_key(snap, op, req)
+        try:
+            return key, self.cache.get(key)
+        except TypeError:  # unhashable entries in the raw cell
+            self._plan(snap, op, req)  # raises the precise ServeError
+            raise
 
     @staticmethod
     def _request_op(request) -> str:
@@ -733,55 +898,36 @@ class QueryEngine:
     def _execute(self, request: "QueryRequest | Mapping") -> dict:
         """The uninstrumented request path (see :meth:`execute`)."""
         req = coerce_request(request)
-        op = req.op
-        if op not in self.OPS:
-            raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
         snap = self._version
-        if req.version is not None and req.version != snap.version:
-            raise ServeError(
-                f"request targets version {req.version}, engine serves {snap.version}",
-                code=ErrorCode.VERSION_CONFLICT,
-            )
-        if req.approx or req.confidence is not None or req.having is not None:
-            self._validate_approx(req)  # reject malformed approx shapes early
+        op = self._admit(snap, req)
         if req.explain:
             return self._execute_explain(snap, op, req)
-        key = self._cache_key(snap, op, req)
-        try:
-            hit = self.cache.get(key)
-        except TypeError:  # unhashable entries in the raw cell
-            self._answer(snap, op, req)  # raises the precise ServeError
-            raise
+        key, hit = self._cached(snap, op, req)
         if hit is not None:
             return hit
-        response = self._answer(snap, op, req)
+        plan = self._plan(snap, op, req)
+        (partials,) = self._resolve(snap, [plan])
+        if isinstance(partials, ErrorInfo):
+            raise ServeError.from_info(partials)
+        response = self._merge(snap, plan, partials)
         # The cached entry is pre-marked and returned by reference on
         # hits, so it must never be mutated by callers (the HTTP layer
         # serializes it, the clients treat responses as read-only).
         self.cache.put(key, dict(response, cached=True))
         return dict(response, cached=False)
 
-    # explain path ------------------------------------------------------
-
-    def _explain_extras(self, data: dict) -> dict:
-        """Engine-specific EXPLAIN fields (the snapshot tier overrides)."""
-        return {"tier": {"source": "resident"}}
-
     def _execute_explain(self, snap: CubeVersion, op: str, req: QueryRequest) -> dict:
         """Answer one request with a structured cost account attached.
 
         The account never enters the result cache — the cached entry is
-        shared by reference — so an ``explain=true`` repeat of a cached
-        query reports the hit without disturbing ordinary callers.
-        Per-phase timings are microseconds (``perf_counter`` deltas).
+        shared by reference — but the plain payload still does, so an
+        ``explain=true`` repeat reports the hit without disturbing
+        ordinary callers.  Per-phase timings are microseconds
+        (``perf_counter`` deltas); the backend adds its index counters
+        and tier (or routing) fields.
         """
         t0 = time.perf_counter()
-        key = self._cache_key(snap, op, req)
-        try:
-            hit = self.cache.get(key)
-        except TypeError:  # unhashable entries in the raw cell
-            self._answer(snap, op, req)  # raises the precise ServeError
-            raise
+        key, hit = self._cached(snap, op, req)
         t1 = time.perf_counter()
         account: dict = {
             "op": op,
@@ -792,37 +938,39 @@ class QueryEngine:
         if hit is not None:
             account["phases_us"] = {"cache": round((t1 - t0) * 1e6, 1)}
             return dict(hit, explain=account)
-        with collect_explain() as acc:
-            response = self._answer(snap, op, req)
+        plan = self._plan(snap, op, req)
         t2 = time.perf_counter()
+        (partials,) = self._resolve(snap, [plan], account=account)
+        if isinstance(partials, ErrorInfo):
+            raise ServeError.from_info(partials)
+        t3 = time.perf_counter()
+        response = self._merge(snap, plan, partials, account)
+        t4 = time.perf_counter()
         account["phases_us"] = {
             "cache": round((t1 - t0) * 1e6, 1),
-            "answer": round((t2 - t1) * 1e6, 1),
+            "plan": round((t2 - t1) * 1e6, 1),
+            self._RESOLVE_PHASE: round((t3 - t2) * 1e6, 1),
+            "merge": round((t4 - t3) * 1e6, 1),
         }
-        account.update(acc.data)
-        account.update(self._explain_extras(acc.data))
         self.cache.put(key, dict(response, cached=True))
         return dict(response, cached=False, explain=account)
 
-    # batch read path ---------------------------------------------------
-
-    #: Refuse batches beyond this size (a single request must not pin a
-    #: worker thread for an unbounded amount of index work).
-    MAX_BATCH = 10_000
+    # ------------------------------------------------------------------
+    # the batch path
+    # ------------------------------------------------------------------
 
     def execute_batch(
         self, requests: Sequence["QueryRequest | Mapping"]
     ) -> list[dict]:
         """Answer a whole batch of read requests in one call, in order.
 
-        The batch shares one cube snapshot, so every response carries
-        the same ``version`` even if a refresh lands mid-batch.  Point
-        requests that miss the result cache are resolved together
-        through :meth:`RangeCube.lookup_batch` — above the columnar
-        threshold that is one grouped postings/cuboid-map resolution
-        instead of per-cell probing — and empty cells come back with an
-        explicit ``"value": null``.  A malformed *item* yields a
-        structured error entry at its position (the same
+        The batch shares one cube version, so every response carries the
+        same ``version`` even if a refresh lands mid-batch.  Cache misses
+        are planned first and resolved together — point requests through
+        one grouped ``lookup_batch``, a fleet's items in one scatter
+        round per shard — and empty cells come back with an explicit
+        ``"value": null``.  A malformed *item* yields a structured error
+        entry at its position (the same
         :class:`~repro.serve.protocol.ErrorInfo` shape single
         :meth:`execute` failures map to) instead of failing the whole
         batch; only a malformed batch envelope raises
@@ -866,106 +1014,76 @@ class QueryEngine:
         """The uninstrumented batch path (see :meth:`execute_batch`)."""
         snap = self._version
         responses: list = [None] * len(requests)
-        # (position, cell, cache key) of point requests that missed the
-        # cache — resolved together at the end through the batched index.
-        point_misses: list[tuple[int, Cell, object]] = []
+        misses: list[tuple[int, str, _Plan, object]] = []  # (position, op, plan, key)
         for i, request in enumerate(requests):
             try:
                 req = coerce_request(request)
-                op = req.op
-                if op not in self.OPS:
-                    raise ServeError(
-                        f"unknown op {op!r}; supported: {', '.join(self.OPS)}"
-                    )
-                if req.version is not None and req.version != snap.version:
-                    raise ServeError(
-                        f"request targets version {req.version}, "
-                        f"engine serves {snap.version}",
-                        code=ErrorCode.VERSION_CONFLICT,
-                    )
-                if req.approx or req.confidence is not None or req.having is not None:
-                    self._validate_approx(req)
-                key = self._cache_key(snap, op, req)
-                try:
-                    hit = self.cache.get(key)
-                except TypeError:  # unhashable entries in the raw cell
-                    self._answer(snap, op, req)  # raises the precise error
-                    raise
+                op = self._admit(snap, req)
                 if req.explain:
                     # Explained items resolve individually (their account
-                    # must cover exactly their own index work), so they
-                    # skip the pooled point resolution below.
+                    # must cover exactly their own work), so they skip
+                    # the pooled resolution below.
                     responses[i] = self._execute_explain(snap, op, req)
-                elif hit is not None:
+                    continue
+                key, hit = self._cached(snap, op, req)
+                if hit is not None:
                     responses[i] = hit
-                elif op == "point":
-                    cell = self._normalize_cell(snap, req)
-                    point_misses.append((i, cell, key))
                 else:
-                    response = self._answer(snap, op, req)
-                    self.cache.put(key, dict(response, cached=True))
-                    responses[i] = dict(response, cached=False)
+                    misses.append((i, op, self._plan(snap, op, req), key))
             except ServeError as exc:
                 responses[i] = error_response(
                     snap.version, self._request_op(request), exc.info
                 )
-        if point_misses:
-            states = snap.cube.lookup_batch([cell for _, cell, _ in point_misses])
-            finalize = snap.cube.aggregator.finalize
-            for (i, cell, key), state in zip(point_misses, states):
-                response = {
-                    "op": "point",
-                    "version": snap.version,
-                    "cell": list(cell),
-                    "value": None if state is None else finalize(state),
-                }
+        if misses:
+            results = self._resolve(snap, [plan for _, _, plan, _ in misses], pooled=True)
+            for (i, op, plan, key), partials in zip(misses, results):
+                if isinstance(partials, ErrorInfo):
+                    responses[i] = error_response(snap.version, op, partials)
+                    continue
+                response = self._merge(snap, plan, partials)
                 self.cache.put(key, dict(response, cached=True))
                 responses[i] = dict(response, cached=False)
         return responses
 
-    # convenience wrappers for in-process use -------------------------------
+    # ------------------------------------------------------------------
+    # introspection and the tier hooks
+    # ------------------------------------------------------------------
 
     def point(self, cell: Sequence[int | None]) -> dict | None:
         """Finalized aggregates of one cell, None when the cell is empty."""
         return self.execute(QueryRequest(op="point", cell=list(cell)))["value"]
 
     def readiness(self) -> dict:
-        """The resident engine's ``/readyz`` body: always able to serve.
+        """The ``/readyz`` body: a resident engine is always able to serve.
 
-        A resident engine is ready the moment construction returns — the
-        interesting states (snapshot still loading, two-phase refresh in
-        flight, dead shards) belong to :class:`SnapshotEngine
-        <repro.store.engine.SnapshotEngine>` and the
-        :class:`~repro.serve.sharded.ShardRouter`, which override this
-        shape with the same keys.
+        The interesting states (snapshot still loading, two-phase
+        refresh in flight, dead shards) belong to the snapshot engine
+        and the shard router, which override this with the same keys.
         """
         return {"ready": True, "state": "serving", "version": self.version}
+
+    def _explain_extras(self, data: dict) -> dict:
+        """Tier fields of an EXPLAIN account (the snapshot tier overrides)."""
+        return {"tier": {"source": "resident"}}
+
+    def _stats_extras(self, snap: CubeVersion) -> dict:
+        """The tier's own ``/stats`` fields (cube size, rows, tier state)."""
+        raise NotImplementedError
 
     def stats(self) -> dict:
         """A JSON-able snapshot of the engine (the ``/stats`` endpoint)."""
         snap = self._version
+        schema = snap.schema
         cache = self.cache.stats()
         return {
             "version": snap.version,
             "protocol": PROTOCOL_VERSION,
-            "n_dims": snap.schema.n_dims,
-            "n_measures": len(self._measure_names),
-            "dimension_names": list(self._dimension_names),
-            "cardinalities": list(snap.schema.cardinalities),
-            "n_ranges": snap.cube.n_ranges,
-            "rows_absorbed": self._cuber.n_rows_absorbed,
-            "trie_nodes": self._cuber.trie_nodes,
+            "n_dims": schema.n_dims,
+            "n_measures": len(schema.measure_names),
+            "dimension_names": list(schema.dimension_names),
+            "cardinalities": list(schema.cardinalities),
             "min_support": self._min_support,
-            "tuning": (
-                None
-                if self._cuber.plan is None
-                else {
-                    "source": self._cuber.plan.source,
-                    "dim_order": list(self._cuber.plan.dim_order),
-                    "value_dims": sorted(self._cuber.plan.value_orders),
-                    "replans": self._cuber.replan_count,
-                }
-            ),
+            **self._stats_extras(snap),
             "cache": {
                 "capacity": cache.capacity,
                 "size": cache.size,
@@ -982,13 +1100,140 @@ class QueryEngine:
             },
         }
 
+    def append_table(self, table: BaseTable) -> int:
+        """Absorb a whole :class:`BaseTable` batch (same arity)."""
+        return self.append(table.dim_rows(), table.measure_rows())
+
+    def close(self) -> None:
+        """Release the tier's resources (nothing for a local cube)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class QueryEngine(Engine):
+    """Point/roll-up/drill-down/slice/dice queries over a refreshable cube.
+
+    The write path is an :class:`~repro.core.incremental.IncrementalRangeCuber`:
+    fact batches are appended into its resident trie by a single writer
+    (serialized by a lock), and each append swaps in a freshly emitted
+    :class:`CubeVersion`.
+    """
+
+    # e2e_bench/tracing.py wraps ``execute`` in this class's own __dict__
+    # (one ``serve.engine.*`` span per read); an alias keeps it there
+    # without a second, nested call.
+    execute = Engine.execute
+
+    def __init__(
+        self,
+        cuber: IncrementalRangeCuber,
+        schema: Schema,
+        *,
+        min_support: int = 1,
+        cache_capacity: int = 1024,
+        store: "CubeStore | None" = None,
+        name: str | None = None,
+        initial_version: int = 0,
+        initial_cube=None,
+        slow_query_threshold: float = 0.050,
+        slow_log_capacity: int = 128,
+        slow_log_sample: int = 1,
+    ) -> None:
+        if schema.n_dims != cuber.trie.n_dims:
+            raise ValueError(
+                f"schema has {schema.n_dims} dims, cuber has {cuber.trie.n_dims}"
+            )
+        if store is not None and name is None:
+            raise ValueError("a write-through store needs a cube name")
+        super().__init__(
+            cuber.aggregator,
+            name=name,
+            min_support=min_support,
+            cache_capacity=cache_capacity,
+            slow_query_threshold=slow_query_threshold,
+            slow_log_capacity=slow_log_capacity,
+            slow_log_sample=slow_log_sample,
+        )
+        self._cuber = cuber
+        self._store = store
+        self._write_lock = threading.Lock()
+        # A plain attribute assignment swaps versions atomically.  An
+        # ``initial_cube`` (e.g. a mmap-loaded snapshot, see
+        # :mod:`repro.store`) skips the trie's cube emission entirely —
+        # the snapshot cold-start path; the first append replaces it
+        # with a freshly emitted resident cube as usual.
+        self._version = CubeVersion(
+            initial_version,
+            initial_cube if initial_cube is not None else cuber.cube(min_support),
+            covering_schema(schema),
+        )
+        _register_engine_collector(self)
+
+    @classmethod
+    def from_table(
+        cls,
+        table: BaseTable,
+        *,
+        aggregator: Aggregator | None = None,
+        min_support: int = 1,
+        cache_capacity: int = 1024,
+        dim_order="auto",
+    ) -> "QueryEngine":
+        """Build the resident trie from ``table`` and serve its cube.
+
+        ``dim_order`` tunes the resident trie only — answers are always
+        expressed in the table's own dimension order and value coding.
+        The default ``"auto"`` runs the sampling planner
+        (:mod:`repro.tune`); pass ``None`` to pin the as-is order, an
+        explicit sequence for a static order, or a prepared
+        :class:`~repro.tune.TuningPlan`.  Appends re-plan automatically
+        when observed cardinalities drift past the planned estimates.
+        """
+        from repro.tune import resolve_plan
+
+        agg = aggregator or default_aggregator(table.n_measures)
+        plan, order = resolve_plan(table, dim_order)
+        if plan is None and order is not None:
+            plan = TuningPlan(order, source="fixed")
+        cuber = IncrementalRangeCuber(table.n_dims, agg, plan=plan)
+        cuber.insert_table(table)
+        return cls(
+            cuber,
+            table.schema,
+            min_support=min_support,
+            cache_capacity=cache_capacity,
+        )
+
+    def _stats_extras(self, snap: CubeVersion) -> dict:
+        plan = self._cuber.plan
+        return {
+            "n_ranges": snap.cube.n_ranges,
+            "rows_absorbed": self._cuber.n_rows_absorbed,
+            "trie_nodes": self._cuber.trie_nodes,
+            "tuning": (
+                None
+                if plan is None
+                else {
+                    "source": plan.source,
+                    "dim_order": list(plan.dim_order),
+                    "value_dims": sorted(plan.value_orders),
+                    "replans": self._cuber.replan_count,
+                }
+            ),
+        }
+
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
 
     def _validate_rows(self, rows, measures):
         return validate_rows(
-            rows, measures, self._cuber.trie.n_dims, len(self._measure_names)
+            rows, measures, self._cuber.trie.n_dims,
+            len(self._version.schema.measure_names),
         )
 
     def append(self, rows: Sequence[Sequence[int]], measures=None) -> int:
@@ -1008,10 +1253,6 @@ class QueryEngine:
                 # Large batches bulk-build a trie of their own and merge
                 # canonically; small ones stream through Algorithm 1.
                 self._cuber.insert_batch(clean_rows, clean_measures)
-                for row in clean_rows:
-                    for d, v in enumerate(row):
-                        if v > self._max_codes[d]:
-                            self._max_codes[d] = v
                 # Re-plan the resident trie when the append drifted the
                 # observed cardinalities past the plan's estimates (cheap
                 # comparison otherwise); answers are unaffected.
@@ -1021,7 +1262,7 @@ class QueryEngine:
                     new = CubeVersion(
                         self._version.version + 1,
                         self._cuber.cube(self._min_support),
-                        self._current_schema(),
+                        covering_schema(self._version.schema, clean_rows),
                     )
                 self._version = new  # the atomic swap
                 self.cache.invalidate_all()
@@ -1039,10 +1280,6 @@ class QueryEngine:
         _APPEND_SECONDS.observe(time.perf_counter() - start)
         _REFRESHES.inc()
         return new.version
-
-    def append_table(self, table: BaseTable) -> int:
-        """Absorb a whole :class:`BaseTable` batch (same arity)."""
-        return self.append(table.dim_rows(), table.measure_rows())
 
     def __repr__(self) -> str:
         snap = self._version

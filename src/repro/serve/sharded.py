@@ -6,9 +6,9 @@ along one *shard dimension* (:func:`repro.core.partitioned.shard_partition_paylo
 row ``r`` lives on shard ``r[shard_dim] % n_shards``), each shard builds
 its own resident engine inside a persistent worker process
 (:class:`repro.exec.WorkerProcess`), and a :class:`ShardRouter` front end
-re-exposes the engine's exact read/write surface — ``execute``,
-``execute_batch``, ``append``, ``stats`` — so the HTTP server, the
-clients and the workload driver drop on top of it unchanged.
+serves the engine's request pipeline (:class:`~repro.serve.engine.Engine`)
+with a resolver that routes, scatters and gathers — so the HTTP server,
+the clients and the workload driver drop on top of it unchanged.
 
 Three ideas carry the design:
 
@@ -56,10 +56,8 @@ import threading
 import time
 from typing import Mapping, Sequence
 
-from repro.approx import exact_partial, finalize_partials
 from repro.core.columnar import collect_explain
 from repro.core.partitioned import shard_partition_payloads
-from repro.cube.cell import Cell
 from repro.exec.workers import (
     RemoteError,
     WorkerProcess,
@@ -67,25 +65,17 @@ from repro.exec.workers import (
     WorkerUnavailable,
     spawn_workers,
 )
-from repro.obs import OBS_STATE, SlowQueryLog, TraceContext, get_registry, get_tracer
+from repro.obs import OBS_STATE, TraceContext, get_registry, get_tracer
 from repro.obs.metrics import MetricRegistry
-from repro.serve.cache import LRUCache
 from repro.serve.engine import (
-    _APPROX_BOUND_WIDTH,
-    _APPROX_FALLBACKS,
-    _APPROX_REQUESTS,
+    CubeVersion,
+    Engine,
     QueryEngine,
+    _Plan,
+    covering_schema,
     validate_rows,
 )
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ErrorCode,
-    ErrorInfo,
-    QueryRequest,
-    ServeError,
-    coerce_request,
-    error_response,
-)
+from repro.serve.protocol import ErrorCode, ErrorInfo, QueryRequest, ServeError
 from repro.table.aggregates import Aggregator, default_aggregator
 from repro.table.base_table import BaseTable
 from repro.table.schema import Dimension, Schema
@@ -130,14 +120,15 @@ _SHARD_VERSION = _REGISTRY.gauge(
 
 
 class ShardEngine:
-    """One shard's resident engine, driven over a worker pipe.
+    """One shard's engine, driven over a worker pipe.
 
     Lives inside the worker process.  Wraps a :class:`QueryEngine` built
     from the shard's slice of the fact table, answers ``scatter`` calls
-    at the *state* level (the router does the merging and finalizing),
-    and takes part in the router's two-phase refresh: ``prepare`` stages
-    a validated row batch against a target version, ``commit`` absorbs
-    it and adopts the version, ``abort`` drops it.
+    at the *state* level through the same local resolver the engines use
+    (:meth:`CubeVersion.resolve`; the router does the merging and
+    finalizing), and takes part in the router's two-phase refresh:
+    ``prepare`` stages a validated row batch against a target version,
+    ``commit`` absorbs it and adopts the version, ``abort`` drops it.
 
     The coordinated version lives here (``self.version``), not in the
     inner engine — a shard whose slice of an append is empty must still
@@ -156,18 +147,21 @@ class ShardEngine:
         self.engine = QueryEngine.from_table(
             table, aggregator=aggregator, min_support=min_support, cache_capacity=8
         )
-        # Distinct per-shard sampling seeds: the router sums per-shard
-        # variances, which is only valid when the shard samples are
-        # independent.  Same-seed shards over similarly ordered
-        # partitions draw correlated samples and the merged confidence
-        # interval undercovers.
-        self.engine._sketch_seed = 1 + shard_id
         self.version = 0
         self._staged: tuple[int, list, list] | None = None
         self._latency = 0.0
         self._fail_next = 0
 
     # -- read path ------------------------------------------------------
+
+    @property
+    def _sketch_seed(self) -> int:
+        # Distinct per-shard sampling seeds: the router sums per-shard
+        # variances, which is only valid when the shard samples are
+        # independent.  Same-seed shards over similarly ordered
+        # partitions draw correlated samples and the merged confidence
+        # interval undercovers.
+        return 1 + self.shard_id
 
     def scatter(
         self,
@@ -224,10 +218,15 @@ class ShardEngine:
             version=target_version,
         )
         with span:
+            snap = self.engine.snapshot()
             if explain:
-                out, accounts = self._scatter_explain(items)
+                out, accounts = self._resolve_explained(snap, items)
             else:
-                out = self._scatter_items(items)
+                # Point items resolve together through one lookup_batch
+                # over the shard's smaller store — the batched path (and
+                # batched advantage) the single engine's batches get.
+                pooled = [i for i, item in enumerate(items) if item[0] == "point"]
+                out = snap.resolve(items, pooled=pooled, sketch_seed=self._sketch_seed)
         if trace is None and not explain:
             return out
         reply: dict = {"results": out}
@@ -237,157 +236,42 @@ class ShardEngine:
             reply["explain"] = accounts
         return reply
 
-    def _scatter_items(self, items: Sequence[tuple]) -> list:
-        """The pooled fast path: resolve one scatter batch of items."""
-        snap = self.engine.snapshot()
-        cube = snap.cube
-        out: list = [None] * len(items)
-        # Point items resolve together through lookup_batch — above the
-        # columnar threshold that is one grouped postings/cuboid-map
-        # resolution over the shard's quarter-size store, the same
-        # batched path (and batched advantage) the single engine gets.
-        point_slots = [i for i, item in enumerate(items) if item[0] == "point"]
-        if point_slots:
-            states = cube.lookup_batch([tuple(items[i][1]) for i in point_slots])
-            for slot, state in zip(point_slots, states):
-                out[slot] = state
-        for i, item in enumerate(items):
-            kind = item[0]
-            if kind == "point":
-                continue
-            if kind == "children":
-                out[i] = self._children(snap, tuple(item[1]), item[2])
-            elif kind == "dice":
-                out[i] = self._dice_state(snap, tuple(item[1]), item[2])
-            elif kind == "approx_dice":
-                out[i] = self._dice_approx_partial(
-                    snap, tuple(item[1]), item[2], item[3]
-                )
-            else:  # pragma: no cover - router never sends unknown kinds
-                raise ServeError(f"unknown scatter item kind {kind!r}")
-        return out
-
-    def _scatter_explain(self, items: Sequence[tuple]) -> tuple[list, list]:
+    def _resolve_explained(
+        self, snap: CubeVersion, items: Sequence[tuple]
+    ) -> tuple[list, list]:
         """Resolve items one by one, each under its own explain collector.
 
         Explained items skip the pooled point resolution on purpose — an
-        account must cover exactly its own item's index work — so EXPLAIN
-        trades the batched-point advantage for attribution, the same
-        bargain the single engine's explain path makes.
+        account must cover exactly its own item's index work — the same
+        bargain the engines' explain path makes.
         """
-        snap = self.engine.snapshot()
-        cube = snap.cube
-        out: list = [None] * len(items)
-        accounts: list = [None] * len(items)
-        for i, item in enumerate(items):
-            kind = item[0]
+        out: list = []
+        accounts: list = []
+        for item in items:
             t0 = time.perf_counter()
             with collect_explain() as acc:
-                if kind == "point":
-                    out[i] = cube.lookup_batch([tuple(item[1])])[0]
-                elif kind == "children":
-                    out[i] = self._children(snap, tuple(item[1]), item[2])
-                elif kind == "dice":
-                    out[i] = self._dice_state(snap, tuple(item[1]), item[2])
-                elif kind == "approx_dice":
-                    out[i] = self._dice_approx_partial(
-                        snap, tuple(item[1]), item[2], item[3]
-                    )
-                else:  # pragma: no cover - router never sends unknown kinds
-                    raise ServeError(f"unknown scatter item kind {kind!r}")
+                out.extend(snap.resolve([item], sketch_seed=self._sketch_seed))
             account = dict(acc.data)
-            extras = getattr(self.engine, "_explain_extras", None)
-            if extras is not None:
-                account.update(extras(acc.data))
-            account["kind"] = kind
+            account.update(self.engine._explain_extras(acc.data))
+            account["kind"] = item[0]
             account["elapsed_us"] = round((time.perf_counter() - t0) * 1e6, 1)
-            accounts[i] = account
+            accounts.append(account)
         return out, accounts
-
-    def _children(self, snap, cell: Cell, dim: int) -> list[tuple[int, tuple]]:
-        """(value, state) for this shard's non-empty children along ``dim``.
-
-        Candidates span the shard's local cardinality — every code with
-        rows here is below it, and codes only present on other shards
-        would answer None anyway, so the cross-shard union is exactly
-        the single-cube drill-down.
-        """
-        card = snap.schema.dimensions[dim].cardinality or 0
-        cells = []
-        for value in range(card):
-            child = list(cell)
-            child[dim] = value
-            cells.append(tuple(child))
-        states = snap.cube.lookup_batch(cells)
-        return [
-            (value, state) for value, state in enumerate(states) if state is not None
-        ]
-
-    def _dice_state(
-        self, snap, cell: Cell, predicates: Mapping[int, Sequence[int]]
-    ) -> tuple | None:
-        """The merged (un-finalized) state of one dice on this shard."""
-        cube = snap.cube
-        store = cube.columnar_if_worthwhile()
-        if store is not None:
-            base = {d: v for d, v in enumerate(cell) if v is not None}
-            value_sets = {d: set(vs) for d, vs in predicates.items()}
-            return store.merge_states(store.dice_ids(value_sets, base))
-        dims = list(predicates)
-        value_lists = [list(dict.fromkeys(predicates[d])) for d in dims]
-        work = list(cell)
-        merge = cube.aggregator.merge
-        total = None
-
-        def walk(index: int) -> None:
-            nonlocal total
-            if index == len(dims):
-                state = cube.lookup(tuple(work))
-                if state is not None:
-                    total = state if total is None else merge(total, state)
-                return
-            for value in value_lists[index]:
-                work[dims[index]] = value
-                walk(index + 1)
-            work[dims[index]] = None
-
-        walk(0)
-        return total
-
-    def _dice_approx_partial(
-        self,
-        snap,
-        cell: Cell,
-        predicates: Mapping[int, Sequence[int]],
-        having: float | None,
-    ) -> dict:
-        """One shard's mergeable partial estimate for an approx dice.
-
-        Shards never finalize bounds — per-shard samples are independent,
-        so the router sums estimates and variances and computes the
-        interval once.  A shard whose aggregator cannot be estimated
-        contributes its exact dice state as a zero-variance partial
-        (unless ``having`` is set, which only the sketch can honor).
-        """
-        sketch = self.engine._sketch_for(snap)
-        if sketch is None:
-            if having is not None:
-                raise ServeError(
-                    f"shard {self.shard_id}: the aggregator has no sampling "
-                    "estimator, and 'having' cannot be answered exactly",
-                    shard=self.shard_id,
-                )
-            if OBS_STATE.enabled:
-                _APPROX_FALLBACKS.inc(reason="unsupported-aggregator")
-            state = self._dice_state(snap, cell, predicates)
-            return exact_partial(snap.cube.aggregator, state)
-        base = {d: v for d, v in enumerate(cell) if v is not None}
-        return sketch.estimate_partial(base, predicates, having=having)
 
     # -- two-phase refresh ----------------------------------------------
 
+    def _check_writable(self) -> None:
+        if self.engine.read_only:
+            raise ServeError(
+                f"shard {self.shard_id} serves an immutable snapshot: rebuild and "
+                "re-snapshot the fleet to ingest data",
+                code=ErrorCode.BAD_REQUEST,
+                shard=self.shard_id,
+            )
+
     def prepare(self, target_version: int, rows: list, measures: list) -> int:
         """Phase one: validate and stage a row batch for ``target_version``."""
+        self._check_writable()
         if target_version != self.version + 1:
             raise ServeError(
                 f"shard {self.shard_id} at version {self.version} cannot "
@@ -402,6 +286,7 @@ class ShardEngine:
 
     def commit(self, target_version: int) -> int:
         """Phase two: absorb the staged batch and adopt ``target_version``."""
+        self._check_writable()
         staged = self._staged
         if staged is None or staged[0] != target_version:
             raise ServeError(
@@ -447,9 +332,7 @@ class ShardEngine:
 
     def readiness(self) -> dict:
         """This shard's serving state (snapshot still loading vs serving)."""
-        inner = getattr(self.engine, "readiness", None)
-        state = inner() if inner is not None else {"ready": True, "state": "serving"}
-        return dict(state, shard=self.shard_id, version=self.version)
+        return dict(self.engine.readiness(), shard=self.shard_id, version=self.version)
 
     def set_latency(self, seconds: float) -> None:
         """Testing hook: delay every subsequent scatter by ``seconds``."""
@@ -489,33 +372,24 @@ def _build_shard_engine(payload: tuple) -> ShardEngine:
 # ---------------------------------------------------------------------------
 
 
-class ShardRouter:
+class ShardRouter(Engine):
     """Scatter-gather front end over the shard workers.
 
-    Duck-types the :class:`QueryEngine` surface (``execute``,
-    ``execute_batch``, ``append``, ``stats``, ``version``, ``slow_log``,
-    ``cache``) so :class:`~repro.serve.http.CubeServer`,
+    The request pipeline — validation, cache, batching, EXPLAIN, spans,
+    metrics — is :class:`~repro.serve.engine.Engine`'s, so the router
+    rejects exactly what the engine rejects and answers with the same
+    bytes; :class:`~repro.serve.http.CubeServer`,
     :class:`~repro.serve.client.InProcessClient` and the workload driver
-    work unchanged on top of it.
+    work unchanged on top of it.  The router supplies the resolver
+    (route each plan's state items, scatter, gather), the two-phase
+    append, the fleet's readiness and its stats/EXPLAIN fields.
 
     >>> router = ShardRouter.from_table(table, n_shards=4)   # doctest: +SKIP
     >>> router.execute(QueryRequest(op="point", cell=[3, None]))  # doctest: +SKIP
     >>> router.close()                                       # doctest: +SKIP
     """
 
-    OPS = QueryEngine.OPS
-    MAX_BATCH = QueryEngine.MAX_BATCH
-
-    # The validation/normalization helpers are shared with the single
-    # engine on purpose: the router must reject exactly what the engine
-    # rejects, with the same messages, for the two tiers to be
-    # interchangeable.
-    _resolve_dim = QueryEngine._resolve_dim
-    _normalize_cell = QueryEngine._normalize_cell
-    _normalize_predicates = QueryEngine._normalize_predicates
-    _cache_key = QueryEngine._cache_key
-    _request_op = staticmethod(QueryEngine._request_op)
-    _validate_approx = QueryEngine._validate_approx
+    _RESOLVE_PHASE = "scatter"
 
     def __init__(
         self,
@@ -534,27 +408,27 @@ class ShardRouter:
     ) -> None:
         if not workers:
             raise ValueError("a shard router needs at least one worker")
+        super().__init__(
+            aggregator,
+            name=name,
+            min_support=min_support,
+            cache_capacity=cache_capacity,
+            slow_query_threshold=slow_query_threshold,
+        )
         self._workers = list(workers)
-        self._schema = schema
-        self._aggregator = aggregator
         self.n_shards = len(self._workers)
         self.shard_dim = shard_dim
         self.timeout = timeout
         self.append_timeout = append_timeout
-        self._min_support = min_support
-        self._name = name
-        self._router_version = initial_version
-        self._max_codes = [
-            (c or 0) - 1 if c is not None else -1 for c in schema.cardinalities
-        ]
+        # The router's generation carries no cube: its state lives in
+        # the workers, and each scatter is tagged with this version.
+        self._version = CubeVersion(initial_version, None, covering_schema(schema))
         # Serializes scatter *sends* against the two-phase version swap;
         # gathers run outside it, so reads still overlap each other.
         self._scatter_lock = threading.Lock()
         # Exposed through readiness(): None while serving, else the
         # in-flight two-phase refresh phase ("prepare" / "commit").
         self._refresh_phase: str | None = None
-        self.cache = LRUCache(cache_capacity)
-        self.slow_log = SlowQueryLog(slow_query_threshold)
         self._shard_series = [
             (
                 _SHARD_REQUESTS.labels(shard=str(k)),
@@ -694,146 +568,60 @@ class ShardRouter:
             initial_version=engine_version,
         )
 
-    # -- the engine-compatible surface -----------------------------------
+    # -- routing and the resolver ----------------------------------------
 
-    @property
-    def version(self) -> int:
-        return self._router_version
+    def _route(self, code: int) -> int:
+        return code % self.n_shards
 
-    def snapshot(self) -> "_RouterSnap":
-        """A version-stamped view of the routing schema (reader-stable)."""
-        return _RouterSnap(self._router_version, self._current_schema())
+    def _plan(self, snap: CubeVersion, op: str, req: QueryRequest) -> _Plan:
+        """The engine's plan, plus the shards that hold its rows.
 
-    def _current_schema(self) -> Schema:
-        return Schema(
-            tuple(
-                d.with_cardinality(max(self._max_codes[i] + 1, 0))
-                for i, d in enumerate(self._schema.dimensions)
-            ),
-            self._schema.measures,
-        )
-
-    def execute(self, request: "QueryRequest | Mapping") -> dict:
-        """Answer one request by routed scatter-gather (engine-shaped)."""
-        req = coerce_request(request)
-        start = time.perf_counter()
-        with _TRACER.span(
-            "serve.request",
-            remote_context=req.trace_context,
-            op=str(req.op),
-            sharded=True,
-        ) as span:
-            response = self._execute(req)
-        elapsed = time.perf_counter() - start
-        if elapsed >= self.slow_log.threshold:
-            # The retained entry must stay JSON-able for ``/slowlog``.
-            self.slow_log.record(
-                elapsed,
-                req.to_json(),
-                op=req.op,
-                trace_id=span.trace_id,
-                span_id=span.span_id,
-            )
-        return response
-
-    def _execute(self, request: "QueryRequest | Mapping") -> dict:
-        req = coerce_request(request)
-        op = req.op
-        if op not in self.OPS:
-            raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
-        snap = self.snapshot()
-        if req.version is not None and req.version != snap.version:
-            raise ServeError(
-                f"request targets version {req.version}, router serves {snap.version}",
-                code=ErrorCode.VERSION_CONFLICT,
-            )
-        if req.approx or req.confidence is not None or req.having is not None:
-            self._validate_approx(req)  # reject malformed approx shapes early
-        if req.explain:
-            return self._execute_explain(snap, op, req)
-        key = self._cache_key(snap, op, req)
-        try:
-            hit = self.cache.get(key)
-        except TypeError:
-            self._plan(snap, op, req)  # raises the precise ServeError
-            raise
-        if hit is not None:
-            return hit
-        plan = self._plan(snap, op, req)
-        results, failures, _ = self._scatter([plan], op=op)
-        partials = results[0]
-        if partials is None:
-            shard = next(k for k in plan.targets if k in failures)
-            raise ServeError.from_info(failures[shard])
-        response = self._merge(snap, plan, partials)
-        self.cache.put(key, dict(response, cached=True))
-        return dict(response, cached=False)
-
-    def _execute_explain(self, snap: "_RouterSnap", op: str, req: QueryRequest) -> dict:
-        """Answer one explained request with a routed per-shard account.
-
-        The account names the routing decision (shard dimension, shards
-        touched, fan-out, scatter item kinds), folds each shard's index
-        counters and tier classification into one entry per shard, and
-        times the router's own phases.  EXPLAIN responses are assembled
-        fresh and never cached — the account describes exactly this
-        execution — but the plain payload still lands in the cache for
-        the next caller, so turning EXPLAIN on does not perturb what the
-        fleet serves.
+        A plan whose cell binds the shard dimension can only be answered
+        by one residue class; a dice predicate on it narrows the fan-out
+        to the predicate codes' shards; anything else scatters to all.
         """
-        t0 = time.perf_counter()
-        key = self._cache_key(snap, op, req)
-        try:
-            hit = self.cache.get(key)
-        except TypeError:
-            self._plan(snap, op, req)  # raises the precise ServeError
-            raise
-        t1 = time.perf_counter()
-        account: dict = {
-            "op": op,
-            "version": snap.version,
-            "engine": self._name,
-            "sharded": True,
-            "cache_hit": hit is not None,
-        }
-        if hit is not None:
-            account["phases_us"] = {"cache": round((t1 - t0) * 1e6, 1)}
-            return dict(hit, explain=account)
-        plan = self._plan(snap, op, req)
-        t2 = time.perf_counter()
-        results, failures, accounts = self._scatter([plan], op=op, explain=True)
-        if results[0] is None:
-            shard = next(k for k in plan.targets if k in failures)
-            raise ServeError.from_info(failures[shard])
-        t3 = time.perf_counter()
-        response = self._merge(snap, plan, results[0])
-        t4 = time.perf_counter()
-        account["routing"] = {
-            "shard_dim": self.shard_dim,
-            "shards_touched": list(plan.targets),
-            "fanout": len(plan.targets),
-            "items": [item[0] for item in plan.items],
-        }
-        if plan.approx and "approx" in response:
-            blk = response["approx"]
-            width = float(blk["upper"]["count"] - blk["lower"]["count"])
-            account["approx"] = {
-                "estimator": blk.get("estimator"),
-                "sample_size": blk.get("sample_size"),
-                "matched": blk.get("matched"),
-                "bound_width": round(
-                    width / max(float(blk["estimate"]["count"]), 1.0), 6
-                ),
+        plan = super()._plan(snap, op, req)
+        code = plan.cell[self.shard_dim]
+        if code is not None:
+            plan.targets = (self._route(code),)
+        elif plan.predicates and self.shard_dim in plan.predicates:
+            codes = plan.predicates[self.shard_dim]
+            plan.targets = tuple(sorted({self._route(v) for v in codes}))
+        else:
+            plan.targets = tuple(range(self.n_shards))
+        return plan
+
+    def _resolve(
+        self,
+        snap: CubeVersion,
+        plans: Sequence[_Plan],
+        *,
+        pooled: bool = False,
+        account: dict | None = None,
+    ) -> list:
+        """Scatter every plan's items to its shards; a failed shard fails its plans.
+
+        An explained request's account names the routing decision
+        (shard dimension, shards touched, fan-out, item kinds) and folds
+        each shard's index counters and tier into one entry per shard.
+        """
+        results, failures, accounts = self._scatter(
+            plans, op="batch" if pooled else plans[0].op, explain=account is not None
+        )
+        for index, plan in enumerate(plans):
+            if results[index] is None:
+                results[index] = failures[next(k for k in plan.targets if k in failures)]
+        if account is not None:
+            plan = plans[0]
+            account["sharded"] = True
+            account["routing"] = {
+                "shard_dim": self.shard_dim,
+                "shards_touched": list(plan.targets),
+                "fanout": len(plan.targets),
+                "items": [item[0] for item in plan.items],
             }
-        account["shards"] = self._merge_accounts(accounts[0])
-        account["phases_us"] = {
-            "cache": round((t1 - t0) * 1e6, 1),
-            "plan": round((t2 - t1) * 1e6, 1),
-            "scatter": round((t3 - t2) * 1e6, 1),
-            "merge": round((t4 - t3) * 1e6, 1),
-        }
-        self.cache.put(key, dict(response, cached=True))
-        return dict(response, cached=False, explain=account)
+            account["shards"] = self._merge_accounts(accounts[0])
+        return results
 
     @staticmethod
     def _merge_accounts(item_accounts: list) -> list[dict]:
@@ -868,160 +656,10 @@ class ShardRouter:
                         merged.setdefault(field, value)
         return [per_shard[k] for k in sorted(per_shard)]
 
-    def execute_batch(
-        self, requests: Sequence["QueryRequest | Mapping"]
-    ) -> list[dict]:
-        """Answer a batch with per-item routing and per-shard scatters.
-
-        Items group by their target shards, so a batch costs one scatter
-        round per shard, not one per item; a failed shard degrades only
-        the items that needed it into structured error entries.
-        Explain-flagged items route and scatter individually — their
-        account must cover exactly their own fan-out — so they trade the
-        grouped scatter round for attribution.
-        """
-        if not isinstance(requests, (list, tuple)):
-            raise ServeError("batch body needs a 'requests' list")
-        if len(requests) > self.MAX_BATCH:
-            raise ServeError(
-                f"batch of {len(requests)} exceeds the {self.MAX_BATCH}-request cap"
-            )
-        remote = getattr(requests[0], "trace_context", None) if requests else None
-        snap = self.snapshot()
-        responses: list = [None] * len(requests)
-        plans: list = []  # (position, op, plan, cache_key)
-        with _TRACER.span(
-            "serve.batch",
-            remote_context=remote,
-            requests=len(requests),
-            sharded=True,
-        ):
-            for i, request in enumerate(requests):
-                try:
-                    req = coerce_request(request)
-                    op = req.op
-                    if op not in self.OPS:
-                        raise ServeError(
-                            f"unknown op {op!r}; supported: {', '.join(self.OPS)}"
-                        )
-                    if req.version is not None and req.version != snap.version:
-                        raise ServeError(
-                            f"request targets version {req.version}, "
-                            f"router serves {snap.version}",
-                            code=ErrorCode.VERSION_CONFLICT,
-                        )
-                    if req.approx or req.confidence is not None or req.having is not None:
-                        self._validate_approx(req)
-                    if req.explain:
-                        responses[i] = self._execute_explain(snap, op, req)
-                        continue
-                    key = self._cache_key(snap, op, req)
-                    try:
-                        hit = self.cache.get(key)
-                    except TypeError:
-                        self._plan(snap, op, req)
-                        raise
-                    if hit is not None:
-                        responses[i] = hit
-                    else:
-                        plans.append((i, op, self._plan(snap, op, req), key))
-                except ServeError as exc:
-                    responses[i] = error_response(
-                        snap.version, self._request_op(request), exc.info
-                    )
-            if plans:
-                results, failures, _ = self._scatter(
-                    [plan for _, _, plan, _ in plans], op="batch"
-                )
-                for (i, op, plan, key), partials in zip(plans, results):
-                    if partials is None:
-                        shard = next(
-                            k for k in plan.targets if k in failures
-                        )
-                        responses[i] = error_response(snap.version, op, failures[shard])
-                        continue
-                    response = self._merge(snap, plan, partials)
-                    self.cache.put(key, dict(response, cached=True))
-                    responses[i] = dict(response, cached=False)
-        return responses
-
-    # -- planning --------------------------------------------------------
-
-    def _route(self, code: int) -> int:
-        return code % self.n_shards
-
-    def _plan(self, snap: "_RouterSnap", op: str, req: QueryRequest) -> "_Plan":
-        """Validate one request and decide its scatter items and shards."""
-        sd = self.shard_dim
-        all_shards = tuple(range(self.n_shards))
-        if op == "point":
-            cell = self._normalize_cell(snap, req)
-            targets = (
-                (self._route(cell[sd]),) if cell[sd] is not None else all_shards
-            )
-            return _Plan(op, targets, (("point", cell),), cell=cell)
-        if op == "rollup":
-            cell = self._normalize_cell(snap, req)
-            dim = self._resolve_dim(snap, req.dim)
-            if cell[dim] is None:
-                raise ServeError(f"dimension {dim} is already * in the query cell")
-            up = list(cell)
-            up[dim] = None
-            up = tuple(up)
-            targets = (self._route(up[sd]),) if up[sd] is not None else all_shards
-            return _Plan(op, targets, (("point", up),), cell=up, dim=dim)
-        if op == "drilldown":
-            cell = self._normalize_cell(snap, req)
-            dim = self._resolve_dim(snap, req.dim)
-            if cell[dim] is not None:
-                raise ServeError(f"dimension {dim} is already bound in the query cell")
-            targets = (
-                (self._route(cell[sd]),)
-                if sd != dim and cell[sd] is not None
-                else all_shards
-            )
-            return _Plan(op, targets, (("children", cell, dim),), cell=cell, dim=dim)
-        if op == "slice":
-            cell = self._normalize_cell(snap, req)
-            free = [d for d in range(snap.schema.n_dims) if cell[d] is None]
-            targets = (
-                (self._route(cell[sd]),) if cell[sd] is not None else all_shards
-            )
-            items = tuple(("children", cell, d) for d in free)
-            return _Plan(op, targets, items, cell=cell, free_dims=tuple(free))
-        if op == "dice":
-            cell = self._normalize_cell(snap, req, default_apex=True)
-            predicates = self._normalize_predicates(snap, req, cell)
-            # Shards get deduped value lists (a repeated predicate value
-            # must not double-count); the response echoes the validated
-            # predicates verbatim, exactly as the single engine does.
-            deduped = {
-                d: list(dict.fromkeys(values)) for d, values in predicates.items()
-            }
-            if cell[sd] is not None:
-                targets = (self._route(cell[sd]),)
-            elif sd in deduped:
-                targets = tuple(sorted({self._route(v) for v in deduped[sd]}))
-            else:
-                targets = all_shards
-            if req.approx:
-                confidence = self._validate_approx(req)
-                having = None if req.having is None else float(req.having)
-                return _Plan(
-                    op, targets, (("approx_dice", cell, deduped, having),),
-                    cell=cell, predicates=predicates,
-                    approx=True, confidence=confidence, having=having,
-                )
-            return _Plan(
-                op, targets, (("dice", cell, deduped),), cell=cell,
-                predicates=predicates,
-            )
-        raise ServeError(f"unknown op {op!r}; supported: {', '.join(self.OPS)}")
-
     # -- scatter-gather --------------------------------------------------
 
     def _scatter(
-        self, plans: Sequence["_Plan"], *, op: str, explain: bool = False
+        self, plans: Sequence[_Plan], *, op: str, explain: bool = False
     ) -> tuple[list, dict[int, ErrorInfo], list]:
         """Send every plan's items to its shards, gather, slot back.
 
@@ -1053,12 +691,12 @@ class ShardRouter:
             op=op,
             shards=len(per_shard_items),
             requests=len(plans),
-            version=self._router_version,
+            version=self._version.version,
         ) as scatter_span:
             context = scatter_span.context()
             trace = context.to_json() if context is not None else None
             with self._scatter_lock:
-                version = self._router_version
+                version = self._version.version
                 for shard, items in per_shard_items.items():
                     worker = self._workers[shard]
                     try:
@@ -1169,85 +807,6 @@ class ShardRouter:
             )
         return info
 
-    # -- merging ---------------------------------------------------------
-
-    def _merge(self, snap: "_RouterSnap", plan: "_Plan", partials: list) -> dict:
-        """Fold per-shard partial states into one engine-shaped response."""
-        op = plan.op
-        agg = self._aggregator
-        version = snap.version
-        if op in ("point", "rollup"):
-            state = agg.merge_many(partials[0])
-            value = None if state is None else agg.finalize(state)
-            if op == "rollup":
-                return {
-                    "op": op, "version": version, "dim": plan.dim,
-                    "cell": list(plan.cell), "value": value,
-                }
-            return {
-                "op": op, "version": version,
-                "cell": list(plan.cell), "value": value,
-            }
-        if op == "drilldown":
-            return {
-                "op": op,
-                "version": version,
-                "dim": plan.dim,
-                "children": self._merge_children(
-                    plan.cell, plan.dim, partials[0], agg
-                ),
-            }
-        if op == "slice":
-            children: list = []
-            for dim, item_partials in zip(plan.free_dims, partials):
-                children.extend(
-                    self._merge_children(plan.cell, dim, item_partials, agg)
-                )
-            return {"op": op, "version": version, "children": children}
-        if op == "dice":
-            response = {
-                "op": op,
-                "version": version,
-                "predicates": {
-                    str(d): v for d, v in sorted(plan.predicates.items())
-                },
-                "cell": list(plan.cell),
-            }
-            if plan.approx:
-                # Per-shard estimators are independent (disjoint row
-                # partitions, private samples): estimates and variances
-                # sum, and the interval is computed exactly once here.
-                answer = finalize_partials(agg, partials[0], plan.confidence)
-                if OBS_STATE.enabled:
-                    _APPROX_REQUESTS.inc()
-                    _APPROX_BOUND_WIDTH.observe(answer.bound_width)
-                response["value"] = answer.estimate
-                response["approx"] = answer.to_block()
-                if any(p.get("estimator") == "exact" for p in partials[0]):
-                    response["approx"]["fallback"] = True
-                return response
-            state = agg.merge_many(partials[0])
-            response["value"] = None if state is None else agg.finalize(state)
-            return response
-        raise ServeError(f"unknown op {op!r}")  # pragma: no cover
-
-    @staticmethod
-    def _merge_children(cell: Cell, dim: int, shard_children: list, agg) -> list:
-        """Union per-shard (value, state) children, merged and sorted."""
-        by_value: dict[int, tuple] = {}
-        for children in shard_children:
-            for value, state in children:
-                present = by_value.get(value)
-                by_value[value] = (
-                    state if present is None else agg.merge(present, state)
-                )
-        out = []
-        for value in sorted(by_value):
-            child = list(cell)
-            child[dim] = value
-            out.append({"cell": child, "value": agg.finalize(by_value[value])})
-        return out
-
     # -- write path ------------------------------------------------------
 
     def append(self, rows: Sequence[Sequence[int]], measures=None) -> int:
@@ -1262,12 +821,13 @@ class ShardRouter:
         everywhere (no shard moves); a shard that fails its *commit* is
         marked unavailable rather than left silently behind.
         """
+        schema = self._version.schema
         clean_rows, clean_measures = validate_rows(
-            rows, measures, self._schema.n_dims, len(self._schema.measure_names)
+            rows, measures, schema.n_dims, len(schema.measure_names)
         )
         with _TRACER.span("serve.append", rows=len(clean_rows), sharded=True):
             with self._scatter_lock:
-                target = self._router_version + 1
+                target = self._version.version + 1
                 per_rows: list[list] = [[] for _ in range(self.n_shards)]
                 per_meas: list[list] = [[] for _ in range(self.n_shards)]
                 for row, meas in zip(clean_rows, clean_measures):
@@ -1275,11 +835,9 @@ class ShardRouter:
                     per_rows[shard].append(row)
                     per_meas[shard].append(meas)
                 self._two_phase_swap(target, per_rows, per_meas)
-                for row in clean_rows:
-                    for d, v in enumerate(row):
-                        if v > self._max_codes[d]:
-                            self._max_codes[d] = v
-                self._router_version = target
+                self._version = CubeVersion(
+                    target, None, covering_schema(self._version.schema, clean_rows)
+                )
                 self.cache.invalidate_all()
         return target
 
@@ -1338,13 +896,10 @@ class ShardRouter:
             except (WorkerTimeout, WorkerUnavailable, RemoteError):
                 pass
 
-    def append_table(self, table: BaseTable) -> int:
-        return self.append(table.dim_rows(), table.measure_rows())
-
     # -- introspection ----------------------------------------------------
 
-    def stats(self) -> dict:
-        """The merged ``/stats`` snapshot: router plus per-shard detail."""
+    def _stats_extras(self, snap: CubeVersion) -> dict:
+        """The fleet's ``/stats`` fields: per-shard detail and their sums."""
         shard_stats: list[dict] = []
         for shard, worker in enumerate(self._workers):
             if not worker.alive:
@@ -1358,39 +913,16 @@ class ShardRouter:
                 continue
             stats["alive"] = True
             shard_stats.append(stats)
-        cache = self.cache.stats()
-        schema = self._current_schema()
         live = [s for s in shard_stats if s.get("alive")]
         return {
-            "version": self._router_version,
-            "protocol": PROTOCOL_VERSION,
             "sharded": True,
             "n_shards": self.n_shards,
             "shard_dim": self.shard_dim,
             "shards_live": len(live),
-            "n_dims": schema.n_dims,
-            "n_measures": len(schema.measure_names),
-            "dimension_names": list(schema.dimension_names),
-            "cardinalities": list(schema.cardinalities),
             "n_ranges": sum(s.get("n_ranges", 0) for s in live),
             "rows_absorbed": sum(s.get("rows_absorbed", 0) for s in live),
             "trie_nodes": sum(s.get("trie_nodes", 0) for s in live),
-            "min_support": self._min_support,
             "shards": shard_stats,
-            "cache": {
-                "capacity": cache.capacity,
-                "size": cache.size,
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "invalidations": cache.invalidations,
-                "hit_rate": cache.hit_rate,
-            },
-            "slow_log": {
-                "threshold_s": self.slow_log.threshold,
-                "seen": self.slow_log.seen,
-                "kept": len(self.slow_log.entries()),
-            },
         }
 
     def federated_metrics(self) -> MetricRegistry:
@@ -1436,17 +968,13 @@ class ShardRouter:
             "sharded": True,
             "n_shards": self.n_shards,
             "shards_live": self.n_shards - len(dead),
-            "version": self._router_version,
+            "version": self.version,
         }
         if dead:
             return dict(out, ready=False, state="degraded", dead_shards=dead)
         if phase is not None:
             return dict(out, ready=False, state=f"refresh-{phase}")
         return dict(out, ready=True, state="serving")
-
-    def point(self, cell: Sequence[int | None]) -> dict | None:
-        """Finalized aggregates of one cell, None when the cell is empty."""
-        return self.execute(QueryRequest(op="point", cell=list(cell)))["value"]
 
     # -- lifecycle --------------------------------------------------------
 
@@ -1459,66 +987,12 @@ class ShardRouter:
                 pass
         _SHARDS_LIVE.set(0, router=self._name)
 
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         live = sum(1 for w in self._workers if w.alive)
         return (
-            f"ShardRouter(v{self._router_version}, {live}/{self.n_shards} shards "
+            f"ShardRouter(v{self.version}, {live}/{self.n_shards} shards "
             f"live, shard_dim={self.shard_dim})"
         )
-
-
-class _RouterSnap:
-    """The router's analogue of :class:`~repro.serve.engine.CubeVersion`.
-
-    Carries only what the shared validation helpers need (``version``,
-    ``schema``); the actual cube state lives in the workers.
-    """
-
-    __slots__ = ("version", "schema")
-
-    def __init__(self, version: int, schema: Schema) -> None:
-        self.version = version
-        self.schema = schema
-
-
-class _Plan:
-    """One validated request, routed: scatter items plus response shape."""
-
-    __slots__ = (
-        "op", "targets", "items", "cell", "dim", "predicates", "free_dims",
-        "approx", "confidence", "having",
-    )
-
-    def __init__(
-        self,
-        op: str,
-        targets: tuple[int, ...],
-        items: tuple,
-        *,
-        cell: Cell,
-        dim: int | None = None,
-        predicates: dict | None = None,
-        free_dims: tuple[int, ...] = (),
-        approx: bool = False,
-        confidence: float | None = None,
-        having: float | None = None,
-    ) -> None:
-        self.op = op
-        self.targets = targets
-        self.items = items
-        self.cell = cell
-        self.dim = dim
-        self.predicates = predicates
-        self.free_dims = free_dims
-        self.approx = approx
-        self.confidence = confidence
-        self.having = having
 
 
 __all__ = ["ShardEngine", "ShardRouter", "_build_shard_engine"]

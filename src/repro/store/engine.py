@@ -1,11 +1,11 @@
 """Two-tier serving over a snapshot: hot resident structures, cold mmap.
 
 :class:`SnapshotEngine` serves the full point/rollup/drilldown/slice/dice
-surface of :class:`~repro.serve.engine.QueryEngine` — it borrows that
-class's request methods verbatim, so responses, caching, metrics and the
-error taxonomy are identical — but its cube generation is a
-memory-mapped :class:`~repro.store.snapshot.SnapshotStore` instead of a
-resident trie emission.  The write path is intentionally absent: a
+surface through the one request pipeline of
+:class:`~repro.serve.engine.Engine`, so responses, caching, metrics and
+the error taxonomy are the resident engine's — but its cube generation
+is a memory-mapped :class:`~repro.store.snapshot.SnapshotStore` instead
+of a resident trie emission.  The write path is intentionally absent: a
 snapshot is one immutable generation; ingesting means rebuilding and
 re-snapshotting (see :class:`~repro.serve.store.CubeStore`'s snapshot
 backend for the read-write composition).
@@ -33,10 +33,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.columnar import explain_collector
-from repro.obs import OBS_STATE, SlowQueryLog, get_registry, get_tracer
-from repro.serve.cache import LRUCache
-from repro.serve.engine import CubeVersion, QueryEngine, _make_op_series
-from repro.serve.protocol import PROTOCOL_VERSION, ErrorCode, ServeError
+from repro.obs import OBS_STATE, get_registry, get_tracer
+from repro.serve.engine import CubeVersion, Engine
+from repro.serve.protocol import ErrorCode, ServeError
 from repro.store.snapshot import SnapshotStore, load_snapshot, manifest_schema
 from repro.table.aggregates import Aggregator
 
@@ -203,8 +202,8 @@ class TierPolicy:
 class SnapshotCube:
     """A snapshot store behind the :class:`RangeCube` read surface.
 
-    Everything :class:`~repro.cube.query.CubeQuery`,
-    :class:`~repro.serve.engine.CubeVersion` and the engines touch on a
+    Everything :class:`~repro.cube.query.CubeQuery` and the local
+    resolver (:meth:`~repro.serve.engine.CubeVersion.resolve`) touch on a
     cube — ``lookup``/``lookup_batch``, the aggregator, cuboid access,
     ``columnar_if_worthwhile`` — is forwarded to the store, so the whole
     serving read stack runs over a snapshot without a resident cube.
@@ -260,39 +259,27 @@ class SnapshotCube:
         return f"SnapshotCube({self.store!r})"
 
 
-class SnapshotEngine:
+class SnapshotEngine(Engine):
     """Read-only serving over one memory-mapped snapshot generation.
 
-    The request surface (``execute``/``execute_batch``/``point``, the
-    result cache, slow-query log, metrics and spans) is borrowed from
-    :class:`~repro.serve.engine.QueryEngine` method-for-method; only
-    construction and the absent write path differ.  Works everywhere an
-    engine does: :class:`~repro.serve.http.CubeServer`, the in-process
-    client, the workload driver.
+    The request pipeline (``execute``/``execute_batch``/``point``, the
+    result cache, slow-query log, metrics, spans and EXPLAIN) is
+    :class:`~repro.serve.engine.Engine`'s, resolving over a
+    :class:`SnapshotCube` with the same local resolver as the resident
+    engine, so responses are identical.  What this class adds: the
+    ``snapshot.load`` open, the hot/cold :class:`TierPolicy` with its
+    EXPLAIN tier classification and ``/stats`` block, a ``/readyz`` that
+    reports loading, and an ``append`` that refuses with ``bad_request``.
+    Works everywhere an engine does: :class:`~repro.serve.http.CubeServer`,
+    the in-process client, the workload driver.
     """
 
-    OPS = QueryEngine.OPS
-    MAX_BATCH = QueryEngine.MAX_BATCH
+    # e2e_bench/tracing.py wraps ``execute`` in this class's own __dict__
+    # (one ``serve.engine.*`` span per read); an alias keeps it there
+    # without a second, nested call.
+    execute = Engine.execute
 
-    # The borrowed read path (see ShardRouter for the same pattern).
-    _resolve_dim = QueryEngine._resolve_dim
-    _normalize_cell = QueryEngine._normalize_cell
-    _normalize_predicates = QueryEngine._normalize_predicates
-    _pair = staticmethod(QueryEngine._pair)
-    _answer = QueryEngine._answer
-    _cache_key = QueryEngine._cache_key
-    _validate_approx = QueryEngine._validate_approx
-    _sketch_for = QueryEngine._sketch_for
-    _dice_approx = QueryEngine._dice_approx
-    _request_op = staticmethod(QueryEngine._request_op)
-    execute = QueryEngine.execute
-    _execute = QueryEngine._execute
-    execute_batch = QueryEngine.execute_batch
-    _execute_batch = QueryEngine._execute_batch
-    _execute_explain = QueryEngine._execute_explain
-    point = QueryEngine.point
-    snapshot = QueryEngine.snapshot
-    version = QueryEngine.version
+    read_only = True
 
     def __init__(
         self,
@@ -317,31 +304,30 @@ class SnapshotEngine:
         else:
             with _TRACER.span("snapshot.load", path=str(source)):
                 store = load_snapshot(source, aggregator=aggregator, verify=verify)
-        self._store = store
-        self._name = name or "snapshot"
         manifest = store.manifest
-        schema = manifest_schema(manifest)
-        self._min_support = int(manifest.get("min_support", 1))
+        super().__init__(
+            store.aggregator,
+            name=name or "snapshot",
+            min_support=int(manifest.get("min_support", 1)),
+            cache_capacity=cache_capacity,
+            slow_query_threshold=slow_query_threshold,
+            slow_log_capacity=slow_log_capacity,
+            slow_log_sample=slow_log_sample,
+        )
+        self._store = store
         self._rows_absorbed = int(manifest.get("rows_absorbed", 0))
-        self._measure_names = schema.measure_names
-        self._dimension_names = schema.dimension_names
         self._policy = TierPolicy(
             budget_bytes=budget_bytes, promote_after=promote_after, name=self._name
         )
         self._policy.attach(store)
         self._version = CubeVersion(
-            int(manifest.get("engine_version", 0)), SnapshotCube(store), schema
+            int(manifest.get("engine_version", 0)),
+            SnapshotCube(store),
+            manifest_schema(manifest),
         )
-        self.cache = LRUCache(cache_capacity)
-        self.slow_log = SlowQueryLog(
-            slow_query_threshold, slow_log_capacity, slow_log_sample
-        )
-        self._op_series = _make_op_series(self.OPS)
         self._ready = True
         if OBS_STATE.enabled:
             _LOAD_SECONDS.observe(time.perf_counter() - start)
-
-    # -- snapshot-specific surface ---------------------------------------
 
     def readiness(self) -> dict:
         """The ``/readyz`` account: loading vs. serving (liveness aside)."""
@@ -389,44 +375,18 @@ class SnapshotEngine:
         """The hot/cold tier state (promotions, evictions, resident bytes)."""
         return self._policy.stats()
 
-    def stats(self) -> dict:
-        """A JSON-able snapshot of the engine (the ``/stats`` endpoint)."""
-        snap = self._version
-        cache = self.cache.stats()
+    def _stats_extras(self, snap: CubeVersion) -> dict:
         return {
-            "version": snap.version,
-            "protocol": PROTOCOL_VERSION,
-            "n_dims": snap.schema.n_dims,
-            "n_measures": len(self._measure_names),
-            "dimension_names": list(self._dimension_names),
-            "cardinalities": list(snap.schema.cardinalities),
             "n_ranges": snap.cube.n_ranges,
             "rows_absorbed": self._rows_absorbed,
             "trie_nodes": 0,  # no resident trie: the cube lives on disk
-            "min_support": self._min_support,
             "read_only": True,
             "snapshot": {
                 "path": str(self._store.path),
                 "mapped_bytes": self._store.nbytes(),
                 "tier": self._policy.stats(),
             },
-            "cache": {
-                "capacity": cache.capacity,
-                "size": cache.size,
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "invalidations": cache.invalidations,
-                "hit_rate": cache.hit_rate,
-            },
-            "slow_log": {
-                "threshold_s": self.slow_log.threshold,
-                "seen": self.slow_log.seen,
-                "kept": len(self.slow_log.entries()),
-            },
         }
-
-    # -- the (absent) write path -----------------------------------------
 
     def append(self, rows: Sequence[Sequence[int]], measures=None) -> int:
         raise ServeError(
@@ -434,18 +394,6 @@ class SnapshotEngine:
             "snapshot to ingest data",
             code=ErrorCode.BAD_REQUEST,
         )
-
-    def append_table(self, table) -> int:
-        return self.append([[0]], None)  # delegates to the same rejection
-
-    def close(self) -> None:
-        """Release nothing — mappings die with the arrays; kept for symmetry."""
-
-    def __enter__(self) -> "SnapshotEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         snap = self._version

@@ -11,11 +11,10 @@ processes, but each worker *memory-maps* its partition's snapshot
 instead of receiving numpy slices over the spawn pickle pipe: the cold
 start ships file names, not cubes, and the page cache is shared between
 a dying fleet and its replacement.  The workers run
-:class:`SnapshotShardEngine` — the scatter surface of
-:class:`~repro.serve.sharded.ShardEngine` over a read-only
-:class:`~repro.store.engine.SnapshotEngine`; the two-phase append is
-refused with a structured ``bad_request`` (ingest means rebuilding and
-re-snapshotting).
+:class:`SnapshotShardEngine` — :class:`~repro.serve.sharded.ShardEngine`
+over a read-only :class:`~repro.store.engine.SnapshotEngine`, answering
+through the same local resolver; the two-phase append is refused with a
+structured ``bad_request`` (ingest means rebuilding and re-snapshotting).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 
 from repro.core.incremental import IncrementalRangeCuber
 from repro.core.partitioned import shard_partition_payloads
-from repro.serve.protocol import ErrorCode, ServeError
 from repro.serve.sharded import ShardEngine
 from repro.store.engine import DEFAULT_BUDGET_BYTES, SnapshotEngine
 from repro.store.snapshot import (
@@ -155,11 +153,9 @@ def save_sharded_snapshot(
 class SnapshotShardEngine(ShardEngine):
     """One shard's scatter surface over a memory-mapped snapshot.
 
-    Reuses :class:`ShardEngine`'s read path (``scatter`` and its
-    children/dice kernels run over any engine snapshot) but the inner
-    engine is a read-only :class:`SnapshotEngine`; the two-phase refresh
-    hooks refuse with the same structured error the engine's ``append``
-    raises.
+    :class:`ShardEngine` with a read-only :class:`SnapshotEngine` inside:
+    ``scatter`` runs the same local resolver over the mapped columns, and
+    the two-phase refresh hooks refuse with a structured ``bad_request``.
     """
 
     def __init__(
@@ -181,27 +177,10 @@ class SnapshotShardEngine(ShardEngine):
             promote_after=promote_after,
             name=f"shard-{shard_id}",
         )
-        # Independent per-shard sampling, as in ShardEngine: only
-        # reached when the mapped snapshot lacks a persisted sketch.
-        self.engine._sketch_seed = 1 + shard_id
         self.version = int(engine_version)
         self._staged = None
         self._latency = 0.0
         self._fail_next = 0
-
-    def _read_only(self) -> ServeError:
-        return ServeError(
-            f"shard {self.shard_id} serves an immutable snapshot: rebuild and "
-            "re-snapshot the fleet to ingest data",
-            code=ErrorCode.BAD_REQUEST,
-            shard=self.shard_id,
-        )
-
-    def prepare(self, target_version: int, rows: list, measures: list) -> int:
-        raise self._read_only()
-
-    def commit(self, target_version: int) -> int:
-        raise self._read_only()
 
 
 def _build_snapshot_shard_engine(payload: tuple) -> SnapshotShardEngine:

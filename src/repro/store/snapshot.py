@@ -595,7 +595,6 @@ class SnapshotStore(ColumnarRangeStore):
         # not from a resident cube.
         self.path = Path(path)
         self.manifest = manifest
-        self.cube = None
         self.aggregator = aggregator
         self.n_dims = int(manifest["n_dims"])
         self.specific = arrays["specific"]

@@ -471,9 +471,10 @@ def test_single_engine_readiness_and_explain():
 
 
 def test_snapshot_engine_explain(tmp_path):
-    # SnapshotEngine borrows the QueryEngine read path attribute-by-attribute
-    # rather than subclassing, so an explain request exercises the whole
-    # borrow list (this once crashed on a missing _execute_explain).
+    # SnapshotEngine answers through the shared Engine pipeline with its
+    # own EXPLAIN extras (tier, snapshot path); this once crashed on a
+    # missing _execute_explain, when the read path was borrowed method
+    # by method.
     from repro.store import SnapshotEngine, write_snapshot
 
     table = _columnar_table(seed=11, n_rows=3000)

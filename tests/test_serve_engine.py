@@ -193,3 +193,33 @@ def test_schema_arity_mismatch_rejected():
     cuber = IncrementalRangeCuber(3, default_aggregator(1))
     with pytest.raises(ValueError):
         QueryEngine(cuber, table.schema)
+
+
+def test_append_frees_the_replaced_cube_version():
+    """A swapped-out version dies with its last reference, not at a collection.
+
+    The cube caches its columnar store and point index; neither may point
+    back at it strongly, or every replaced version (tens of MB at scale)
+    would linger until the cyclic collector ran.
+    """
+    import gc
+    import weakref
+
+    from repro.data.synthetic import uniform_table
+    from repro.serve import QueryRequest
+
+    engine = QueryEngine.from_table(uniform_table(6000, 4, 10, seed=3))
+    gc.collect()
+    gc.disable()
+    try:
+        engine.execute(QueryRequest(op="point", cell=[1, None, 2, None]))
+        engine.execute(QueryRequest(op="slice", cell=[1, None, None, None]))
+        engine.execute(QueryRequest(op="dice", predicates={"0": [1, 2]}, approx=True))
+        cube = engine.snapshot().cube
+        assert cube._columnar is not None and cube._index is not None
+        replaced = weakref.ref(cube)
+        del cube
+        engine.append([[0, 0, 0, 0]], [[1.0]])
+        assert replaced() is None
+    finally:
+        gc.enable()
