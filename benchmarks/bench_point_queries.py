@@ -17,7 +17,14 @@ Run under pytest-benchmark like the other bench modules, or standalone
 as a CI smoke check that re-verifies all three lookup strategies (hash
 probe, columnar ``find_batch``, linear scan) answer identically and then
 enforces a ``MIN_SPEEDUP``x floor for batched columnar lookups over the
-per-cell hash path at the largest correlated point::
+per-cell hash path at the largest correlated point.  At that point it
+also times child lists — the slices and drill-downs a dashboard sends —
+through the selection kernel (``ColumnarRangeStore.children``) against
+the candidate probe it replaced (one ``lookup_batch`` over every code of
+the drilled dimension, kept here as the reference and checked equal),
+with a ``MIN_SLICE_SPEEDUP``x floor for slices on a warmed store and a
+``MIN_DRILLDOWN_SPEEDUP``x floor for drill-downs on a freshly frozen
+store (the state every append leaves)::
 
     PYTHONPATH=src python benchmarks/bench_point_queries.py --quick
 
@@ -31,6 +38,7 @@ import time
 
 from repro.baselines.dwarf import Dwarf
 from repro.baselines.qc_tree import QCTree
+from repro.core.columnar import ColumnarRangeStore
 from repro.core.range_cubing import range_cubing
 from repro.core.range_index import RangeCubeIndex
 from repro.cube.full_cube import compute_full_cube
@@ -56,6 +64,17 @@ PARAMS = SCALES["small" if PRESET == "small" else "tiny"]
 #: Acceptance floor: batched columnar lookups must beat the per-cell
 #: hash index by this factor at the largest correlated point.
 MIN_SPEEDUP = 5.0
+
+#: Acceptance floors for child lists at the largest point: the selection
+#: kernel against the per-code candidate probe, for slices on a warmed
+#: store and for drill-downs on a freshly frozen one.
+MIN_SLICE_SPEEDUP = 10.0
+MIN_DRILLDOWN_SPEEDUP = 5.0
+
+#: Child lists per measured set: slices bind all dims but one (as
+#: ``repro workload`` builds them), drill-downs bind 0-2 dims.
+CHILD_SLICES = 100
+CHILD_DRILLDOWNS = 200
 
 #: The correlated workload of bench_bulk_build: zipf theta 1.5, 8 dims,
 #: a store determining city-like attributes and a station its coordinates.
@@ -246,8 +265,12 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
-def measure_point(table, queries) -> dict:
-    """Per-cell hash vs batched columnar over the same warm query batch."""
+def measure_point(table, queries, child_lists: bool = False) -> dict:
+    """Per-cell hash vs batched columnar over the same warm query batch.
+
+    ``child_lists`` adds the kernel-vs-probe child-list timings
+    (:func:`measure_child_lists`) over the same cube.
+    """
     build_start = time.perf_counter()
     cube = range_cubing(table)
     build_s = time.perf_counter() - build_start
@@ -258,7 +281,7 @@ def measure_point(table, queries) -> dict:
     hash_s = _best_of(lambda: [hash_index.find(c) for c in queries])
     batch_s = _best_of(lambda: columnar.find_batch(queries))
     per_query_us = batch_s / len(queries) * 1e6
-    return {
+    point = {
         "n_rows": table.n_rows,
         "n_ranges": cube.n_ranges,
         "queries": len(queries),
@@ -269,6 +292,87 @@ def measure_point(table, queries) -> dict:
         "batched_us_per_query": round(per_query_us, 3),
         "speedup": round(hash_s / batch_s if batch_s else float("inf"), 2),
         "store_kib": round(columnar._store.nbytes() / 1024, 1),
+    }
+    if child_lists:
+        point["child_lists"] = measure_child_lists(cube, table)
+    return point
+
+
+def make_child_lists(table, seed: int = 1) -> dict:
+    """``(cell, dim)`` child lists from real rows: slices and drill-downs."""
+    rng = random.Random(seed)
+    n_dims = table.n_dims
+    rows = [tuple(int(v) for v in row) for row in table.dim_rows()[:2000]]
+    slices = []
+    for _ in range(CHILD_SLICES):
+        row, free = rng.choice(rows), rng.randrange(n_dims)
+        slices.append((tuple(None if d == free else v for d, v in enumerate(row)), free))
+    drilldowns = []
+    for _ in range(CHILD_DRILLDOWNS):
+        row = rng.choice(rows)
+        bound = rng.sample(range(n_dims), rng.randint(0, 2))
+        dim = rng.choice([d for d in range(n_dims) if d not in bound])
+        cell = tuple(v if d in bound else None for d, v in enumerate(row))
+        drilldowns.append((cell, dim))
+    return {"slices": slices, "drilldowns": drilldowns}
+
+
+def probe_children(store, cell, dim: int, card: int) -> list:
+    """The reference: one candidate cell per code of ``dim``, probed in one batch.
+
+    This is how child lists were answered before the selection kernel
+    (``lookup_batch`` over ``range(card)``); it stays here to check the
+    kernel's answers and to time it against.
+    """
+    head, tail = cell[:dim], cell[dim + 1:]
+    ids = store.find_batch_ids([head + (code,) + tail for code in range(card)])
+    states = store.states
+    return [(code, states[rid]) for code, rid in enumerate(ids) if rid >= 0]
+
+
+def measure_child_lists(cube, table) -> dict:
+    """Kernel vs candidate probe: slices warmed, drill-downs on fresh stores."""
+    cards = [int(table.dim_codes[:, d].max()) + 1 for d in range(table.n_dims)]
+    lists = make_child_lists(table)
+
+    def probe(store, requests):
+        return [probe_children(store, cell, dim, cards[dim]) for cell, dim in requests]
+
+    def kernel(store, requests):
+        return [store.children(cell, dim) for cell, dim in requests]
+
+    store = cube.to_columnar()
+    children = 0
+    for requests in lists.values():  # verify (and warm) before timing
+        expected = probe(store, requests)
+        if kernel(store, requests) != expected:
+            raise AssertionError("children and the candidate probe disagree")
+        children += sum(map(len, expected))
+    slices = lists["slices"]
+    slice_probe_s = _best_of(lambda: probe(store, slices))
+    slice_kernel_s = _best_of(lambda: kernel(store, slices))
+
+    def fresh(answer) -> float:
+        best = float("inf")
+        for _ in range(3):
+            frozen = ColumnarRangeStore(cube)
+            start = time.perf_counter()
+            answer(frozen, lists["drilldowns"])
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    drill_probe_s = fresh(probe)
+    drill_kernel_s = fresh(kernel)
+    return {
+        "slices": len(slices),
+        "drilldowns": len(lists["drilldowns"]),
+        "children": children,
+        "slice_probe_seconds": round(slice_probe_s, 4),
+        "slice_kernel_seconds": round(slice_kernel_s, 4),
+        "slice_speedup": round(slice_probe_s / slice_kernel_s, 2),
+        "drilldown_fresh_probe_seconds": round(drill_probe_s, 4),
+        "drilldown_fresh_kernel_seconds": round(drill_kernel_s, 4),
+        "drilldown_speedup": round(drill_probe_s / drill_kernel_s, 2),
     }
 
 
@@ -312,9 +416,24 @@ def main(argv=None) -> int:
     series = []
     for n_rows, card in points:
         table = corr_table(n_rows, card)
-        point = {"cardinality": card, **measure_point(table, make_queries(table))}
+        last = (n_rows, card) == points[-1]
+        point = {
+            "cardinality": card,
+            **measure_point(table, make_queries(table), child_lists=last),
+        }
         series.append(point)
         print_point(point)
+    final = series[-1]
+    lists = final["child_lists"]
+    print(
+        f"child lists at {final['n_rows']:,} rows: "
+        f"{lists['slices']} slices {lists['slice_probe_seconds'] * 1e3:.1f}ms probe vs "
+        f"{lists['slice_kernel_seconds'] * 1e3:.1f}ms kernel ({lists['slice_speedup']:.1f}x, "
+        f"warmed); {lists['drilldowns']} drill-downs "
+        f"{lists['drilldown_fresh_probe_seconds'] * 1e3:.1f}ms probe vs "
+        f"{lists['drilldown_fresh_kernel_seconds'] * 1e3:.1f}ms kernel "
+        f"({lists['drilldown_speedup']:.1f}x, fresh)"
+    )
 
     if out_path:
         with open(out_path, "w") as fh:
@@ -330,6 +449,8 @@ def main(argv=None) -> int:
                     "queries_per_batch": BATCH_QUERIES,
                     "ghost_share": GHOST_SHARE,
                     "min_speedup_floor": args.min_speedup,
+                    "min_slice_speedup_floor": MIN_SLICE_SPEEDUP,
+                    "min_drilldown_speedup_floor": MIN_DRILLDOWN_SPEEDUP,
                     "points": series,
                 },
                 fh,
@@ -338,13 +459,20 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {out_path}")
 
-    final = series[-1]
-    print(
-        f"floor: {final['speedup']:.1f}x at {final['n_rows']:,} rows "
-        f"(need >= {args.min_speedup:g}x)"
-    )
-    if final["speedup"] < args.min_speedup:
-        print("FAIL: batched columnar lookups below the speedup floor")
+    failed = False
+    for label, value, floor in (
+        ("batched points", final["speedup"], args.min_speedup),
+        ("slices", lists["slice_speedup"], MIN_SLICE_SPEEDUP),
+        ("drill-downs", lists["drilldown_speedup"], MIN_DRILLDOWN_SPEEDUP),
+    ):
+        print(
+            f"floor: {label} {value:.1f}x at {final['n_rows']:,} rows "
+            f"(need >= {floor:g}x)"
+        )
+        if value < floor:
+            print(f"FAIL: {label} below the speedup floor")
+            failed = True
+    if failed:
         return 1
     print("OK")
     return 0

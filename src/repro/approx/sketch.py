@@ -312,18 +312,22 @@ class CubeSketch:
         return self._mass_tables
 
     def hist_mass(self, dim: int, codes: Iterable[int]) -> int:
-        """Exact count mass of ``codes`` on ``dim`` (histogram lookup)."""
+        """Exact count mass of the code set ``codes`` on ``dim`` (histogram lookup).
+
+        A code listed twice is one code: each code's slot is marked once,
+        then the marked slots' mass is summed.
+        """
         wanted = (
             codes.astype(np.int64, copy=False)
             if isinstance(codes, np.ndarray)
             else np.fromiter(codes, dtype=np.int64)
         )
-        if not wanted.size:
-            return 0
-        if int(wanted.min()) < 0:
+        if wanted.size and int(wanted.min()) < 0:
             wanted = wanted[wanted >= 0]  # negatives carry no mass
         mass = self._masses()[dim]
-        return int(mass[np.minimum(wanted, mass.size - 1)].sum())
+        marked = np.zeros(mass.size, dtype=np.int64)
+        marked[np.minimum(wanted, mass.size - 1)] = 1
+        return int(mass @ marked)
 
     def estimate_partial(
         self,

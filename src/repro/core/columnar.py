@@ -40,9 +40,15 @@ Query answering:
   and answers each group from a memoized *cuboid map* (projected
   specific endpoint -> range id), so steady-state batched lookups cost
   one dict probe per cell;
-* :meth:`cuboid` / :meth:`cuboid_sizes` / :meth:`merge_states` answer
-  slice/dice-style questions by mask-filtered column selection, reusing
-  the same memoized per-mask range-id lists.
+* :meth:`select` is the one selection kernel behind drill-down, slice
+  and dice: the ranges that give a cell to one target cuboid and match
+  a cell's bound values, read off the stored ranges (postings or a
+  memoized cuboid selection), never off the value domain;
+  :meth:`children` and :meth:`dice_ids` are built on it, and
+  :meth:`merge_states` folds a selection into one state;
+* :meth:`cuboid` / :meth:`cuboid_sizes` answer whole-cuboid questions
+  by mask-filtered column selection, reusing the same memoized per-mask
+  range-id lists.
 
 Everything is read-only after construction; the serving layer freezes
 one store per immutable cube version.
@@ -55,7 +61,7 @@ import weakref
 from contextlib import contextmanager
 from functools import cached_property, reduce
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,6 +98,8 @@ def prefers_columnar(cube: "RangeCube") -> bool:
 #: group asking for it is large enough relative to the candidate count;
 #: below that, per-cell postings intersection is cheaper than the map.
 _MAP_BUILD_FACTOR = 64
+
+_NO_IDS = np.empty(0, dtype=np.int32)
 
 _TRACER = get_tracer()
 _REGISTRY = get_registry()
@@ -460,7 +468,7 @@ class ColumnarRangeStore:
             None if rid < 0 else ranges[rid] for rid in self.find_batch_ids(cells)
         ]
 
-    # -- cuboids and slice/dice ------------------------------------------
+    # -- cuboids and state merging --------------------------------------
 
     def cuboid_ids(self, mask: int) -> np.ndarray:
         """Ids of the ranges contributing a cell to cuboid ``mask`` (memoized).
@@ -568,8 +576,8 @@ class ColumnarRangeStore:
         """One aggregate state merged across a range-id selection.
 
         Vectorized per-measure column reductions when the aggregator
-        uses the stock algebra; exact pairwise merging otherwise.  This
-        is the dice/slice kernel: select ids by mask filters, merge once.
+        uses the stock algebra; exact pairwise merging otherwise.  A dice
+        is :meth:`dice_ids` merged once here.
         """
         ids = np.asarray(ids)
         if not ids.size:
@@ -582,28 +590,125 @@ class ColumnarRangeStore:
         states = self.states
         return reduce(self.aggregator.merge, (states[i] for i in ids.tolist()))
 
+    # -- selection: drill-down, slice and dice ---------------------------
+
+    def _check_arity(self, cell: Cell) -> None:
+        if len(cell) != self.n_dims:
+            raise ValueError(f"query cell has {len(cell)} dims, cube has {self.n_dims}")
+
+    def select(
+        self, cell: Cell, target_mask: int, *, build_cuboid: bool = False
+    ) -> np.ndarray:
+        """Ids of the ranges giving cuboid ``target_mask`` a cell that matches ``cell``.
+
+        A range gives exactly one cell to every cuboid between its fixed
+        and its bound dimensions (``fixed ⊆ target ⊆ bound``): its
+        specific endpoint projected onto the target.  ``cell``'s bound
+        dimensions lie inside ``target_mask``, so the target cuboid's
+        cells that agree with ``cell``'s bound values are those of the
+        ranges returned here, one cell each, in ascending range order
+        (merges over them add in a fixed order).
+
+        Two plans, picked by estimated size:
+
+        * **postings** — the shortest of the bound values' postings,
+          narrowed by the containment test and then by the other bound
+          values, each a probe of the ``specific`` column (the postings
+          intersection, without merging the longer lists);
+        * **cuboid** — the memoized :meth:`cuboid_ids` of the target,
+          filtered on the bound values, when that memo already exists
+          (or ``build_cuboid`` has it built, as a dice does) and is
+          shorter than the shortest posting.  A cell that binds nothing
+          has no postings to start from and always takes this plan.
+          Memos are built through the admission policy.
+        """
+        self._check_arity(cell)
+        bound: list[tuple[int, int]] = []
+        shortest = None
+        for d, v in enumerate(cell):
+            if v is None:
+                continue
+            posting = self.postings[d].get(v)
+            if posting is None:
+                return _NO_IDS
+            if shortest is None or len(posting) < len(shortest):
+                shortest, first = posting, len(bound)
+            bound.append((d, v))
+        if build_cuboid or shortest is None:
+            memo = self.cuboid_ids(target_mask)
+        else:
+            memo = self._cuboid_ids.get(target_mask)
+        acc = explain_collector()
+        if memo is not None and (shortest is None or len(memo) < len(shortest)):
+            ids = memo
+            if acc is not None:
+                acc.add("selection_cuboid")
+                acc.add("cells_scanned", int(ids.size))
+        else:
+            if acc is not None:
+                acc.add("selection_postings")
+                acc.add("postings_intersected", len(bound))
+                acc.add("cells_scanned", int(shortest.size))
+            fixed = self.fixed_mask[shortest]
+            fixed &= ~target_mask
+            covered = self.bound_mask[shortest]
+            covered &= target_mask
+            keep = fixed == 0
+            keep &= covered == target_mask
+            ids = shortest[keep]
+            del bound[first]
+        for d, v in bound:
+            if not ids.size:
+                break
+            ids = ids[self.specific[ids, d] == v]
+        return ids
+
+    def children(self, cell: Cell, dim: int) -> list[tuple[int, tuple]]:
+        """``(code, state)`` for the non-empty children of ``cell`` along ``dim``.
+
+        A drill-down is a group-by over one cuboid: the children are the
+        cells of cuboid ``bound(cell) | dim`` that agree with ``cell``,
+        one per range :meth:`select` returns, listed in code order.
+        """
+        self._check_arity(cell)
+        if cell[dim] is not None:
+            raise ValueError(f"dimension {dim} is already bound in {cell!r}")
+        target = 1 << dim
+        for d, v in enumerate(cell):
+            if v is not None:
+                target |= 1 << d
+        ids = self.select(cell, target)
+        codes = self.specific[ids, dim]
+        order = np.argsort(codes, kind="stable")
+        states = self.states
+        return [
+            (code, states[rid])
+            for code, rid in zip(codes[order].tolist(), ids[order].tolist())
+        ]
+
     def dice_ids(
         self,
-        value_sets: dict[int, set],
-        base: dict[int, int] | None = None,
+        value_sets: Mapping[int, Iterable[int]],
+        base: Mapping[int, int] | None = None,
     ) -> np.ndarray:
         """Ids of the ranges whose cuboid cell matches a dice predicate.
 
         ``value_sets`` maps a dimension to its admitted codes; ``base``
-        pins dimensions to single values.  The candidate list is the
-        memoized cuboid selection for the combined mask, narrowed by
-        vectorized membership tests on the specific columns.
+        pins dimensions to single values.  The candidates are
+        :meth:`select`'s for the base cell and the combined mask (a dice
+        builds that cuboid's memo, as it always has, so the kernel picks
+        the shorter of it and the postings), narrowed by vectorized
+        membership tests on the specific columns; they stay in ascending
+        range order.
         """
-        base = base or {}
+        cell: list = [None] * self.n_dims
         mask = 0
-        for d in (*value_sets, *base):
+        for d, v in (base or {}).items():
+            cell[d] = v
             mask |= 1 << d
-        ids = self.cuboid_ids(mask)
-        acc = explain_collector()
-        if acc is not None:
-            acc.add("cells_scanned", int(ids.size))
-        for d, v in base.items():
-            ids = ids[self.specific[ids, d] == v]
+        for d in value_sets:
+            mask |= 1 << d
+        ids = self.select(cell, mask, build_cuboid=True)
         for d, values in value_sets.items():
             if not ids.size:
                 break

@@ -343,10 +343,12 @@ class RangeCube:
 
         See :class:`~repro.core.columnar.ColumnarRangeStore`: numpy
         specific/mask columns plus per-dimension inverted postings,
-        which back :meth:`lookup_batch`, the large-cube :meth:`cuboid`
-        path and the point-query index above its size threshold.
-        Double-checked under the index lock for the same reason as
-        :meth:`_ensure_index`.
+        which back every drill-down, slice and dice (the selection
+        kernel, at any cube size), :meth:`lookup_batch`, the large-cube
+        :meth:`cuboid` path and the point-query index above its size
+        threshold.  A cube wider than ``MAX_COLUMNAR_DIMS`` raises
+        ``ValueError``.  Double-checked under the index lock for the
+        same reason as :meth:`_ensure_index`.
         """
         store = self._columnar
         if store is None:

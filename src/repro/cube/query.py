@@ -1,11 +1,16 @@
 """OLAP-style queries over any materialized cube representation.
 
 ``CubeQuery`` works against any object exposing ``lookup(cell) -> state``
-plus an aggregator — both :class:`~repro.cube.full_cube.MaterializedCube`
-and :class:`~repro.core.range_cube.RangeCube` qualify.  This demonstrates
-the paper's *format-preserving* claim: because a range cube answers the
-same cell lookups as a plain cube, existing query layers sit on top of it
-unchanged.
+plus an aggregator — :class:`~repro.cube.full_cube.MaterializedCube`,
+:class:`~repro.core.range_cube.RangeCube` and the baseline cubes all
+qualify.  This demonstrates the paper's *format-preserving* claim:
+because a range cube answers the same cell lookups as a plain cube,
+existing query layers sit on top of it unchanged.  A range cube (one
+offering ``to_columnar``) answers drill-down, slice and dice from the
+target cuboid's stored ranges through the columnar selection kernel
+(:meth:`~repro.core.columnar.ColumnarRangeStore.select`); any other cube
+is probed cell by cell — the plain-cube path the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -39,17 +44,10 @@ class CubeQuery:
             raise ValueError("raw-value queries need a table with an encoder")
         return self.table.encoder.encoders[dim].encode_existing(value)
 
-    def _lookup_states(self, cells: list[Cell]) -> list:
-        """States for many cells at once, batched when the cube supports it."""
-        batch = getattr(self.cube, "lookup_batch", None)
-        if batch is not None:
-            return batch(cells)
-        return [self.cube.lookup(cell) for cell in cells]
-
     def _columnar_store(self):
-        """The cube's columnar store when one is (worth) having, else None."""
-        getter = getattr(self.cube, "columnar_if_worthwhile", None)
-        return getter() if getter is not None else None
+        """A range cube's columnar store; None for a lookup-only cube."""
+        to_columnar = getattr(self.cube, "to_columnar", None)
+        return None if to_columnar is None else to_columnar()
 
     def cell_for(self, bindings: Mapping[str, Hashable]) -> Cell:
         """Build the query cell for ``{dimension name: value}`` bindings."""
@@ -85,12 +83,21 @@ class CubeQuery:
     def drill_down(self, cell: Cell, dim_name: str) -> list[tuple[Cell, dict[str, float]]]:
         """All non-empty specializations of ``cell`` along one dimension.
 
-        Candidate values come from the base table when available (exact),
-        otherwise from the dimension's cardinality (dense code range).
+        A range cube lists them from the target cuboid's stored ranges
+        (:meth:`~repro.core.columnar.ColumnarRangeStore.children`).  Any
+        other cube is probed one candidate per value: the base table's
+        values when available, else the dimension's code range.
         """
         dim = self.schema.dimension_index(dim_name)
         if cell[dim] is not None:
             raise ValueError(f"dimension {dim_name!r} is already bound in the query cell")
+        finalize = self.cube.aggregator.finalize
+        store = self._columnar_store()
+        if store is not None:
+            return [
+                (drill_down(cell, dim, code), finalize(state))
+                for code, state in store.children(cell, dim)
+            ]
         candidates: Iterable[int]
         if self.table is not None:
             candidates = sorted(set(self.table.dim_column(dim).tolist()))
@@ -99,12 +106,13 @@ class CubeQuery:
             if card is None:
                 raise ValueError("drill-down needs either a table or known cardinality")
             candidates = range(card)
-        children = [drill_down(cell, dim, value) for value in candidates]
-        return [
-            (child, self.cube.aggregator.finalize(state))
-            for child, state in zip(children, self._lookup_states(children))
-            if state is not None
-        ]
+        out = []
+        for value in candidates:
+            child = drill_down(cell, dim, value)
+            state = self.cube.lookup(child)
+            if state is not None:
+                out.append((child, finalize(state)))
+        return out
 
     def dice(
         self,
@@ -119,10 +127,11 @@ class CubeQuery:
         diced cells partition the matching tuples.  Returns None when no
         combination is non-empty.
 
-        Over a range cube with a columnar store, the whole dice is one
-        mask-filtered column selection plus one vectorized state merge
-        (:meth:`~repro.core.columnar.ColumnarRangeStore.dice_ids`) —
-        the value-combination cross product is never enumerated.
+        Over a range cube the whole dice is one selection plus one
+        vectorized state merge
+        (:meth:`~repro.core.columnar.ColumnarRangeStore.dice_ids`) — the
+        value-combination cross product is never enumerated.  Any other
+        cube is walked one lookup per combination.
         """
         dims: list[int] = []
         value_lists: list[list[int]] = []

@@ -218,8 +218,9 @@ def covering_schema(schema: Schema, rows: Sequence[Sequence[int]] = ()) -> Schem
     """``schema`` with every cardinality grown to cover the codes in ``rows``.
 
     Appended rows may carry codes past the schema's cardinalities; the
-    next version's schema must cover them, or drill-downs would not
-    offer the new codes as candidates.
+    next version's schema must cover them, or ``/stats`` would report a
+    smaller domain than the cube serves (the workload driver draws its
+    codes from it).
     """
     cards = [c or 0 for c in schema.cardinalities]
     for row in rows:
@@ -314,43 +315,18 @@ class CubeVersion:
     def _children(self, cell: Cell, dim: int) -> list[tuple[int, tuple]]:
         """``(code, state)`` for the non-empty children of ``cell`` along ``dim``.
 
-        Candidates span the version's cardinality; a shard's candidates
-        span the global one, and codes it holds no rows for answer None,
-        so the cross-shard union is exactly the single-cube drill-down.
+        One :meth:`~repro.core.columnar.ColumnarRangeStore.children` call
+        over the target cuboid's stored ranges.  A shard lists only the
+        codes it holds rows for, so the cross-shard union is exactly the
+        single-cube drill-down.
         """
-        card = self.schema.dimensions[dim].cardinality or 0
-        head, tail = cell[:dim], cell[dim + 1:]
-        states = self.cube.lookup_batch([head + (code,) + tail for code in range(card)])
-        return [(code, state) for code, state in enumerate(states) if state is not None]
+        return self.cube.to_columnar().children(cell, dim)
 
     def _dice(self, cell: Cell, predicates: Mapping[int, Sequence[int]]) -> tuple | None:
         """The merged state of one dice (``predicates`` hold deduped codes)."""
-        cube = self.cube
-        store = cube.columnar_if_worthwhile()
-        if store is not None:
-            base = {d: v for d, v in enumerate(cell) if v is not None}
-            value_sets = {d: set(codes) for d, codes in predicates.items()}
-            return store.merge_states(store.dice_ids(value_sets, base))
-        # Small cubes: merge the non-empty cells of the code cross product.
-        dims = list(predicates)
-        work = list(cell)
-        merge = cube.aggregator.merge
-        total = None
-
-        def walk(index: int) -> None:
-            nonlocal total
-            if index == len(dims):
-                state = cube.lookup(tuple(work))
-                if state is not None:
-                    total = state if total is None else merge(total, state)
-                return
-            for code in predicates[dims[index]]:
-                work[dims[index]] = code
-                walk(index + 1)
-            work[dims[index]] = None
-
-        walk(0)
-        return total
+        store = self.cube.to_columnar()
+        base = {d: v for d, v in enumerate(cell) if v is not None}
+        return store.merge_states(store.dice_ids(predicates, base))
 
     def _approx_dice(
         self,

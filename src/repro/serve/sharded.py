@@ -347,9 +347,8 @@ def _build_shard_engine(payload: tuple) -> ShardEngine:
     """Worker factory (module-level so it pickles by reference).
 
     ``payload`` is pickle-cheap: the shard id, schema names, the
-    *global* cardinalities (so per-shard drill-down candidate ranges
-    match the single engine's), the shard's numpy slices, the
-    aggregator and the min-support.
+    *global* cardinalities (so each shard reports the fleet's domain),
+    the shard's numpy slices, the aggregator and the min-support.
     """
     (shard_id, dim_names, measure_names, cardinalities, dim_codes,
      measures, aggregator, min_support) = payload
@@ -460,9 +459,8 @@ class ShardRouter(Engine):
 
         agg = aggregator or default_aggregator(table.n_measures)
         slices = shard_partition_payloads(table, n_shards, shard_dim)
-        # Shards carry the *global* cardinalities so their drill-down
-        # candidate ranges match the single engine's exactly (a shard's
-        # local maximum code would silently truncate them).
+        # Shards carry the *global* cardinalities, so each reports the
+        # fleet's domain rather than its local maximum code.
         cardinalities = [c or 0 for c in table.schema.cardinalities]
         payloads = [
             (

@@ -205,8 +205,9 @@ class SnapshotCube:
     Everything :class:`~repro.cube.query.CubeQuery` and the local
     resolver (:meth:`~repro.serve.engine.CubeVersion.resolve`) touch on a
     cube — ``lookup``/``lookup_batch``, the aggregator, cuboid access,
-    ``columnar_if_worthwhile`` — is forwarded to the store, so the whole
-    serving read stack runs over a snapshot without a resident cube.
+    ``to_columnar`` (the selection kernel) — is forwarded to the store,
+    so the whole serving read stack runs over a snapshot without a
+    resident cube.
     """
 
     __slots__ = ("store", "aggregator", "n_dims")
@@ -247,9 +248,6 @@ class SnapshotCube:
         return self.store.cuboid_sizes()
 
     def to_columnar(self) -> SnapshotStore:
-        return self.store
-
-    def columnar_if_worthwhile(self) -> SnapshotStore:
         return self.store
 
     def __len__(self) -> int:
@@ -346,9 +344,10 @@ class SnapshotEngine(Engine):
 
         ``tier_hot/cold_hits`` come from :meth:`TierPolicy.should_map`
         (batched point groups); paths that never consult the policy —
-        single points over postings, dice over cuboid selections — are
-        classified by whether they had to build (fault mapped columns)
-        or could serve from an already-promoted memo.
+        single points over postings, drill-downs, slices and dice through
+        the selection kernel — are classified by whether they had to
+        build or read postings (fault mapped columns) or could serve from
+        an already-promoted memo.
         """
         hot = int(data.get("tier_hot_hits", 0))
         cold = int(data.get("tier_cold_hits", 0))

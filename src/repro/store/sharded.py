@@ -87,8 +87,8 @@ def save_sharded_snapshot(
     """
     agg = aggregator or default_aggregator(table.n_measures)
     slices = shard_partition_payloads(table, n_shards, shard_dim)
-    # Global cardinalities, as in ShardRouter.from_table: a shard's local
-    # maximum code must not truncate cross-shard drill-down candidates.
+    # Global cardinalities, as in ShardRouter.from_table: every shard's
+    # manifest reports the fleet's domain, not its local maximum code.
     cardinalities = [c or 0 for c in table.schema.cardinalities]
     schema = Schema(
         tuple(

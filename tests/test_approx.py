@@ -332,6 +332,15 @@ def test_estimate_partial_counts_and_ceiling(sketch):
     assert all(v == 0.0 for v in partial["var"])
 
 
+def test_repeated_codes_count_their_mass_once(sketch):
+    assert sketch.hist_mass(0, [0, 1, 1, 1]) == sketch.hist_mass(0, [0, 1]) == 5
+    assert sketch.hist_mass(1, np.array([2, 2, 0])) == sketch.hist_mass(1, [0, 2])
+    once = sketch.estimate_partial({}, {0: [0, 1]})
+    repeated = sketch.estimate_partial({}, {0: [0, 1, 1]})
+    assert repeated["ceil"] == once["ceil"] == 5.0
+    assert repeated["est"] == once["est"]
+
+
 def test_estimate_partial_with_base_and_empty_sets(sketch):
     pinned = sketch.estimate_partial({0: 1}, {2: [0]})
     assert pinned["matched"] == 2  # S2 sells P1 in two cities

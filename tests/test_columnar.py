@@ -1,34 +1,44 @@
 """Tests for the columnar range store: postings, batched lookups, cuboids.
 
-The load-bearing guarantee is *strategy identity*: ``find_batch`` over
-the columnar store, the hash-probe index and a plain linear scan must
-return the same containing range for every query cell — the seeded
-property test below drives all three over random correlated tables,
-including all-``*`` and fully-bound cells.  The rest are unit tests for
-the memoized cuboid structures, the vectorized state merge, the dice
-kernel and the observability counters.
+The load-bearing guarantees are *strategy identity* — ``find_batch``
+over the columnar store, the hash-probe index and a plain linear scan
+must return the same containing range for every query cell, including
+all-``*`` and fully-bound cells — and *oracle identity* of the selection
+kernel: ``children`` and ``dice_ids`` + ``merge_states`` must answer
+exactly what the full cube (``repro.cube.full_cube``) holds, on the
+resident store, its snapshot and a snapshot pinned cold.  The rest are
+unit tests for the memoized cuboid structures, the vectorized state
+merge, the kernel's two plans and the observability counters.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import (
     COLUMNAR_THRESHOLD,
     MAX_COLUMNAR_DIMS,
     STAR_CODE,
     ColumnarRangeStore,
+    collect_explain,
     prefers_columnar,
 )
+from repro.core.complex_measures import TopKAvgAggregator
 from repro.core.range_cubing import range_cubing
 from repro.core.range_index import RangeCubeIndex
 from repro.cube.full_cube import compute_full_cube
+from repro.cube.query import CubeQuery
 from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.obs import get_registry
+from repro.store import TierPolicy, load_snapshot, write_snapshot
+from repro.table.aggregates import AvgAggregator, MinAggregator, SumCountAggregator
 
 from tests.conftest import (
     cubes_equal,
@@ -218,6 +228,161 @@ def test_dice_ids_matches_predicate_scan():
     assert sorted(int(i) for i in ids) == sorted(expected)
     # An empty predicate set yields no ids.
     assert store.dice_ids({1: set()}, None).size == 0
+
+
+# ----------------------------------------------------------------------
+# the selection kernel against the full-cube oracle
+# ----------------------------------------------------------------------
+
+#: SUM/COUNT, MIN, AVG, and a custom aggregator whose states stay Python
+#: tuples (a snapshot carries them as JSON, with no state columns).
+ORACLE_AGGREGATORS = {
+    "sum": lambda: SumCountAggregator(0),
+    "min": lambda: MinAggregator(0),
+    "avg": lambda: AvgAggregator(0),
+    "topk": lambda: TopKAvgAggregator(k=2),
+}
+
+
+def _tiers(cube, table, tmp: Path) -> dict:
+    """The resident store, its snapshot, and that snapshot pinned cold."""
+    path = write_snapshot(cube, tmp / "cube.snapshot", table.schema)
+    cold = load_snapshot(path, aggregator=cube.aggregator)
+    TierPolicy(budget_bytes=0).attach(cold)  # admits no memo at all
+    return {
+        "resident": cube.to_columnar(),
+        "snapshot": load_snapshot(path, aggregator=cube.aggregator),
+        "cold": cold,
+    }
+
+
+def _oracle_children(iceberg: dict) -> dict:
+    """``(parent cell, dim) -> [(code, state)]`` in code order, from the oracle."""
+    out: dict = {}
+    for cell, state in iceberg.items():
+        for d, code in enumerate(cell):
+            if code is not None:
+                parent = cell[:d] + (None,) + cell[d + 1:]
+                out.setdefault((parent, d), []).append((code, state))
+    return {key: sorted(pairs) for key, pairs in out.items()}
+
+
+def _oracle_dice(agg, iceberg: dict, base: dict, value_sets: dict):
+    mask = 0
+    for d in (*base, *value_sets):
+        mask |= 1 << d
+    total = None
+    for cell, state in iceberg.items():
+        if any((v is not None) != bool(mask >> d & 1) for d, v in enumerate(cell)):
+            continue
+        if all(cell[d] == v for d, v in base.items()) and all(
+            cell[d] in codes for d, codes in value_sets.items()
+        ):
+            total = state if total is None else agg.merge(total, state)
+    return total
+
+
+def _same_pairs(got: list, want: list) -> bool:
+    return [c for c, _ in got] == [c for c, _ in want] and all(
+        states_equal(a, b) for (_, a), (_, b) in zip(got, want)
+    )
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(
+    table=table_strategy(max_rows=18, max_dims=4),
+    agg_name=st.sampled_from(sorted(ORACLE_AGGREGATORS)),
+    min_support=st.sampled_from((1, 3)),
+    rotated=st.booleans(),
+    data=st.data(),
+)
+def test_selection_kernel_matches_full_cube_on_every_tier(
+    table, agg_name, min_support, rotated, data
+):
+    """children and dice_ids + merge_states == the full cube, on every tier."""
+    agg = ORACLE_AGGREGATORS[agg_name]()
+    n = table.n_dims
+    order = tuple(range(1, n)) + (0,) if rotated else None
+    cube = range_cubing(table, aggregator=agg, dim_order=order, min_support=min_support)
+    iceberg = compute_full_cube(table, agg, min_support).as_dict()
+    parents = list(compute_full_cube(table, agg).as_dict())  # below-support ones too
+    parents.append(tuple([None] * n))
+    parents.append(tuple([99] * (n - 1)) + (None,))  # a ghost: no children
+    children = _oracle_children(iceberg)
+    cards = [int(table.dim_codes[:, d].max()) + 1 for d in range(n)]
+    dice = []
+    for _ in range(8):
+        dims = data.draw(st.permutations(range(n)))
+        n_base = data.draw(st.integers(0, n - 1))
+        base = {d: data.draw(st.integers(0, cards[d])) for d in dims[:n_base]}
+        pred_dims = dims[n_base:n_base + data.draw(st.integers(1, n - n_base))]
+        value_sets = {
+            d: data.draw(st.lists(st.integers(0, cards[d]), min_size=1, max_size=4))
+            for d in pred_dims
+        }
+        dice.append((base, value_sets))
+    with tempfile.TemporaryDirectory() as tmp:
+        for tier, store in _tiers(cube, table, Path(tmp)).items():
+            for parent in parents:
+                for d in range(n):
+                    if parent[d] is None:
+                        got = store.children(parent, d)
+                        want = children.get((parent, d), [])
+                        assert _same_pairs(got, want), (tier, parent, d)
+            for base, value_sets in dice:
+                ids = store.dice_ids(value_sets, base)
+                assert list(ids) == sorted(ids), tier  # merges add in range order
+                got = store.merge_states(ids)
+                want = _oracle_dice(agg, iceberg, base, value_sets)
+                assert (got is None) == (want is None), (tier, base, value_sets)
+                assert got is None or states_equal(got, want), (tier, base, value_sets)
+            assert store.memo_stats()["cuboid_map_masks"] == 0  # no map is built
+
+
+def _plan_counts(store, cell, target) -> tuple[np.ndarray, dict]:
+    with collect_explain() as acc:
+        ids = store.select(cell, target)
+    return ids, acc.data
+
+
+def test_select_plans_and_explain_counters():
+    table = correlated_table(3000, 4, 30, [FunctionalDependency((0,), (1,))], seed=1)
+    store = range_cubing(table, dim_order=None).to_columnar()
+    row = tuple(int(v) for v in table.dim_rows()[0])
+    cell = (row[0], None, None, None)
+    target = 0b0011  # d0 determines d1: a cuboid of at most 30 cells
+    # No memo yet: the postings plan, which builds nothing.
+    by_postings, acc = _plan_counts(store, cell, target)
+    assert acc["selection_postings"] == 1 and "selection_cuboid" not in acc
+    assert acc["postings_intersected"] == 1
+    assert acc["cells_scanned"] == len(store.postings[0][row[0]])
+    assert store.memo_stats()["cuboid_id_masks"] == 0
+    # A cell that binds nothing starts from the cuboid, and memoizes it.
+    apex_ids, acc = _plan_counts(store, (None,) * 4, target)
+    assert acc["selection_cuboid"] == 1 and acc["cuboid_ids_built"] == 1
+    assert np.array_equal(apex_ids, store.cuboid_ids(target))
+    # With the memo shorter than the posting, the same cell filters it.
+    assert len(store.cuboid_ids(target)) < len(store.postings[0][row[0]])
+    by_cuboid, acc = _plan_counts(store, cell, target)
+    assert acc["selection_cuboid"] == 1 and "cuboid_ids_built" not in acc
+    assert np.array_equal(by_cuboid, by_postings)
+    assert store.memo_stats()["cuboid_map_masks"] == 0
+    # A bound value no posting holds selects nothing.
+    assert store.select((999, None, None, None), target).size == 0
+    with pytest.raises(ValueError, match="already bound"):
+        store.children(cell, 0)
+
+
+def test_query_layer_over_a_too_wide_cube_names_the_limit():
+    table = make_paper_table()
+    cube = range_cubing(table)
+    cube.n_dims = MAX_COLUMNAR_DIMS + 1  # simulate a too-wide cube
+    query = CubeQuery(cube, table.schema)
+    with pytest.raises(ValueError, match=f"up to {MAX_COLUMNAR_DIMS} dims"):
+        query.drill_down((0, None, None, None), "city")
+    with pytest.raises(ValueError, match=f"up to {MAX_COLUMNAR_DIMS} dims"):
+        query.dice({"city": [0]})
 
 
 def test_prefers_columnar_threshold_and_dim_cap():

@@ -9,7 +9,10 @@ counters they carry) may differ.  Integer measures keep the cross-shard
 merges exact, and the tables are small enough that every sketch keeps
 its whole population, so the approx estimates are exact on every tier.
 Approx requests leave the shard dimension free: a routed one reports
-only its shard's ``sample_size``.
+only its shard's ``sample_size``.  Before the list runs, the resident
+engine and the router absorb rows whose codes lie past the table's
+cardinality (the snapshot is written after that append), so drill-downs
+and slices must list children the schema never had.
 """
 
 import numpy as np
@@ -23,6 +26,9 @@ from repro.table.aggregates import MinAggregator, default_aggregator
 
 N_DIMS = 4
 CARD = 6
+
+#: Appended before the requests run: codes past ``CARD`` on dims 0 and 2.
+APPENDED = [[CARD, 1, 2, 3], [CARD + 1, 1, CARD, 0], [CARD + 1, 4, 2, 3]]
 
 #: Account fields every tier reports identically; the rest are its
 #: timing (``phases_us``), tier (``engine``, ``tier``, ``snapshot``,
@@ -63,6 +69,9 @@ def _script() -> list:
         q(op="slice", cell=[1, None, None, 2], explain=True),
         q(op="dice", predicates={"1": [0, 1, 2]}, approx=True, explain=True),  # hit
         q(op="dice", predicates={"2": [0, 3]}, approx=True, explain=True),
+        q(op="drilldown", cell=[None, 1, 2, None], dim=0),  # appended codes
+        q(op="slice", cell=[None, 1, None, 0]),  # appended codes on dims 0 and 2
+        q(op="drilldown", cell=[CARD + 5, None, None, None], dim=1),  # no children
         [
             q(op="point", cell=[1, None, 2, None]),  # hit
             q(op="cube"),  # unknown op
@@ -123,12 +132,15 @@ def test_every_tier_answers_one_request_list_identically(aggregator, tmp_path):
     previous = OBS_STATE.enabled
     set_enabled(True)
     resident = QueryEngine.from_table(table, aggregator=agg)
-    snap = resident.snapshot()
-    path = write_snapshot(
-        snap.cube, tmp_path / "cube.snapshot", snap.schema, rows_absorbed=table.n_rows
-    )
     router = ShardRouter.from_table(table, n_shards=2, aggregator=agg)
     try:
+        measures = [[10.0 * (i + 1)] for i in range(len(APPENDED))]
+        assert resident.append(APPENDED, measures) == router.append(APPENDED, measures) == 1
+        snap = resident.snapshot()
+        path = write_snapshot(
+            snap.cube, tmp_path / "cube.snapshot", snap.schema,
+            rows_absorbed=table.n_rows + len(APPENDED), engine_version=snap.version,
+        )
         answers = {}
         counts = {}
         with SnapshotEngine(path) as mapped:
@@ -143,6 +155,11 @@ def test_every_tier_answers_one_request_list_identically(aggregator, tmp_path):
                 ]
         assert answers["snapshot"] == answers["resident"]
         assert answers["router"] == answers["resident"]
+        drill, sliced, empty = answers["resident"][18:21]
+        assert [c["cell"][0] for c in drill["children"]][-1] == CARD
+        assert {c["cell"][0] for c in sliced["children"]} >= {CARD + 1}
+        assert {c["cell"][2] for c in sliced["children"]} >= {CARD}
+        assert empty["children"] == []
         # Routed requests and batches land in the same series as the
         # single engines' ...
         assert counts["router"] == counts["resident"] == counts["snapshot"]

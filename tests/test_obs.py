@@ -325,12 +325,12 @@ def test_slow_log_rejects_bad_parameters():
 
 
 def test_served_query_produces_span_with_cache_hit_attribute():
-    from repro.serve import QueryEngine
+    from repro.serve import QueryEngine, QueryRequest
 
     engine = QueryEngine.from_table(make_paper_table())
     tracer = get_tracer()
     tracer.buffer.clear()
-    request = {"op": "point", "cell": [0, None, None, None]}
+    request = QueryRequest(op="point", cell=[0, None, None, None])
     engine.execute(request)
     engine.execute(request)
     spans = [s for s in tracer.buffer.spans() if s.name == "serve.request"]
@@ -345,10 +345,10 @@ def test_served_query_produces_span_with_cache_hit_attribute():
 
 
 def test_engine_collector_exposes_cache_and_version_gauges():
-    from repro.serve import QueryEngine
+    from repro.serve import QueryEngine, QueryRequest
 
     engine = QueryEngine.from_table(make_paper_table())
-    engine.execute({"op": "point", "cell": [0, None, None, None]})
+    engine.execute(QueryRequest(op="point", cell=[0, None, None, None]))
     engine.append([[0, 0, 0, 0]], [[1.0]])
     text = get_registry().render_prometheus()
     families = parse_prometheus_text(text)
@@ -365,12 +365,12 @@ def test_engine_collector_exposes_cache_and_version_gauges():
 
 
 def test_disabled_obs_skips_serving_telemetry():
-    from repro.serve import QueryEngine
+    from repro.serve import QueryEngine, QueryRequest
 
     engine = QueryEngine.from_table(make_paper_table())
     get_tracer().buffer.clear()
     set_enabled(False)
-    engine.execute({"op": "point", "cell": [0, None, None, None]})
+    engine.execute(QueryRequest(op="point", cell=[0, None, None, None]))
     assert get_registry().get("repro_requests_total").value(op="point") == 0
     assert [s for s in get_tracer().buffer.spans() if s.name == "serve.request"] == []
 

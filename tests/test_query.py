@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.baselines.qc_tree import QCTree
 from repro.core.range_cubing import range_cubing
 from repro.cube.full_cube import compute_full_cube
 from repro.cube.query import CubeQuery
+from repro.cube.view_selection import ViewStore
 
 from tests.conftest import make_paper_table
 
@@ -70,7 +72,8 @@ def test_drill_down_rejects_bound_dim(paper_queries):
 
 def test_slice_covers_all_free_dimensions(paper_queries):
     table, materialized, ranged = paper_queries
-    for cube in (materialized, ranged):
+    lookup_only = (ViewStore(table, [0b0011]), QCTree.build(table))
+    for cube in (materialized, ranged, *lookup_only):
         q = CubeQuery(cube, table.schema, table)
         cell = q.cell_for({"store": "S1"})
         results = q.slice(cell)
@@ -86,7 +89,8 @@ def test_materialized_and_range_cube_agree_on_all_cells(paper_queries):
 
 def test_dice_sums_matching_cells(paper_queries):
     table, materialized, ranged = paper_queries
-    for cube in (materialized, ranged):
+    lookup_only = (ViewStore(table, [0b0011]), QCTree.build(table))
+    for cube in (materialized, ranged, *lookup_only):
         q = CubeQuery(cube, table.schema, table)
         # stores S1+S2 on date D2: tuples 2, 3, 4, 5 minus S3 -> rows 1,2,3,4
         result = q.dice({"store": ["S1", "S2"], "date": ["D2"]})
@@ -123,3 +127,13 @@ def test_query_without_table_uses_codes(paper_queries):
     q = CubeQuery(materialized, table.schema)
     assert q.point(store=0)["count"] == 2
     assert q.decode((0, None, None, None)) == (0, None, None, None)
+
+
+@pytest.mark.parametrize("cell", [(None, None), (0, None, None, None, None)])
+def test_drill_down_and_slice_reject_a_cell_of_the_wrong_length(paper_queries, cell):
+    table, _, ranged = paper_queries
+    q = CubeQuery(ranged, table.schema, table)
+    with pytest.raises(ValueError, match=f"query cell has {len(cell)} dims, cube has 4"):
+        q.drill_down(cell, "store" if cell[0] is None else "product")
+    with pytest.raises(ValueError, match=f"query cell has {len(cell)} dims, cube has 4"):
+        q.slice(cell)
