@@ -14,9 +14,16 @@ zipf point (every row distinct — the builder's worst case) is reported
 alongside for transparency; the acceptance floor applies to the
 correlated series.
 
+The standalone mode also times Algorithm 2's traversal of the
+auto-planned trie at the 100k correlated point, with the group-merge
+reduction kernel against the pairwise fold it replaced (kept below as
+the reference, swapped in only while it is timed), after checking that
+both emit equal columns.
+
 Run under pytest-benchmark like the other bench modules, or standalone
 as a CI smoke check that re-verifies bulk == incremental tries and then
-enforces a ``MIN_SPEEDUP``x floor at the largest point::
+enforces a ``MIN_SPEEDUP``x floor at the largest point and a
+``MIN_TRAVERSAL_SPEEDUP``x floor on the traversal::
 
     PYTHONPATH=src python benchmarks/bench_bulk_build.py --quick
 
@@ -24,13 +31,19 @@ The standalone mode writes its full series to ``BENCH_bulk_build.json``
 (committed at the repo root; see ``docs/performance.md``).
 """
 
+import gc
+import importlib
 import json
 import time
 
+import numpy as np
+
 from repro.core.incremental import IncrementalRangeCuber
-from repro.core.range_trie import RangeTrie
+from repro.core.range_trie import RangeTrie, RangeTrieNode
+from repro.core.reduction import _surface_candidates
 from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.table.aggregates import SumCountAggregator
+from repro.tune import plan_table
 
 try:
     from benchmarks.conftest import PRESET, cached_zipf, run_once
@@ -45,6 +58,13 @@ except ModuleNotFoundError:  # executed as a script: put the repo root on the pa
 
 #: Acceptance floor for the tuple:bulk build-time ratio at the largest point.
 MIN_SPEEDUP = 3.0
+
+#: Acceptance floor for the traversal with the group-merge reduction over
+#: the traversal with the pairwise fold, at ``TRAVERSAL_POINT``.
+MIN_TRAVERSAL_SPEEDUP = 1.2
+
+#: (n_rows, cardinality) of the traversal comparison, in every mode.
+TRAVERSAL_POINT = (100_000, 100)
 
 #: Figure 11's shape at reduced scale: zipf theta 1.5, 8 dims, plus the
 #: paper's Section 1 correlation: two functional dependencies (a store
@@ -244,6 +264,94 @@ def measure_obs_overhead(table, rounds: int = 3) -> dict:
     }
 
 
+def _pairwise_merge_nodes(a, b, merge_agg):
+    """Reference: merge two nodes sharing a start pair, one pair at a time."""
+    b_key_set = set(b.key)
+    common = tuple(p for p in a.key if p in b_key_set)
+    common_set = set(common)
+    a_res = [p for p in a.key if p not in common_set]
+    b_res = [p for p in b.key if p not in common_set]
+    candidates = _surface_candidates(a_res, a.children, a.agg)
+    candidates += _surface_candidates(b_res, b.children, b.agg)
+    children: dict = {}
+    for cand in candidates:
+        value = cand.key[0][1]
+        present = children.get(value)
+        children[value] = (
+            cand if present is None else _pairwise_merge_nodes(present, cand, merge_agg)
+        )
+    return RangeTrieNode(common, children, merge_agg(a.agg, b.agg))
+
+
+def pairwise_reduce_trie(root, merge_agg):
+    """Reference: the reduction that folds k same-valued siblings pairwise.
+
+    Every step of the fold allocates an intermediate node and rebuilds its
+    children; :func:`repro.core.reduction.reduce_trie` builds each group's
+    node once.  Kept here only to time the kernel against.
+    """
+    candidates = []
+    for child in root.children.values():
+        candidates.extend(_surface_candidates(list(child.key[1:]), child.children, child.agg))
+    children: dict = {}
+    for cand in candidates:
+        value = cand.key[0][1]
+        present = children.get(value)
+        children[value] = (
+            cand if present is None else _pairwise_merge_nodes(present, cand, merge_agg)
+        )
+    return RangeTrieNode((), children, root.agg)
+
+
+def measure_traversal(table, rounds: int = 3) -> dict:
+    """Algorithm 2 on the auto-planned trie: group merge vs pairwise fold.
+
+    The reference reduction is swapped into the traversal only while it
+    runs.  Both must emit equal columns (codes, masks and states, in
+    order) before anything is timed; the rounds alternate the two, and
+    the minimum of each is kept.
+    """
+    cubing = importlib.import_module("repro.core.range_cubing")
+    agg = SumCountAggregator(0)
+    plan = plan_table(table)
+    trie = RangeTrie.bulk_build(plan.transform_table(table), agg)
+    group_reduce = cubing.reduce_trie
+
+    def traverse(reduce):
+        cubing.reduce_trie = reduce
+        try:
+            gc.collect()
+            start = time.perf_counter()
+            columns = cubing._traverse(trie, agg, 1)
+            return columns, time.perf_counter() - start
+        finally:
+            cubing.reduce_trie = group_reduce
+
+    group_cols, _ = traverse(group_reduce)
+    pair_cols, _ = traverse(pairwise_reduce_trie)
+    if not (
+        np.array_equal(group_cols.specific, pair_cols.specific)
+        and np.array_equal(group_cols.marked_mask, pair_cols.marked_mask)
+        and group_cols.states == pair_cols.states
+    ):
+        raise AssertionError(
+            "group-merge traversal emits different columns than the pairwise "
+            "fold — refusing to time a wrong result"
+        )
+    group_s = pair_s = float("inf")
+    for _ in range(rounds):
+        pair_s = min(pair_s, traverse(pairwise_reduce_trie)[1])
+        group_s = min(group_s, traverse(group_reduce)[1])
+    return {
+        "n_rows": table.n_rows,
+        "dim_order": list(plan.dim_order),
+        "ranges": len(group_cols),
+        "pairwise_seconds": round(pair_s, 4),
+        "group_merge_seconds": round(group_s, 4),
+        "speedup": round(pair_s / group_s, 2),
+    }
+
+
 def print_point(label: str, p: dict) -> None:
     print(
         f"{label:>12} {p['n_rows']:>9,} rows: tuple {p['tuple_seconds']:7.3f}s   "
@@ -295,6 +403,18 @@ def main(argv=None) -> int:
     iid = {"cardinality": card, **measure_point(cached_zipf(n_rows, N_DIMS, card, THETA))}
     print_point("iid-zipf", iid)
 
+    traversal = {
+        "cardinality": TRAVERSAL_POINT[1],
+        **measure_traversal(corr_table(*TRAVERSAL_POINT)),
+    }
+    print(
+        f"traversal at {traversal['n_rows']:,} rows, order {traversal['dim_order']}, "
+        f"{traversal['ranges']:,} ranges: "
+        f"pairwise fold {traversal['pairwise_seconds']:.3f}s   "
+        f"group merge {traversal['group_merge_seconds']:.3f}s   "
+        f"speedup {traversal['speedup']:.2f}x (need >= {MIN_TRAVERSAL_SPEEDUP:g}x)"
+    )
+
     obs = measure_obs_overhead(corr_table(*points[-1]))
     print(
         f"telemetry overhead at {points[-1][0]:,} rows: "
@@ -313,8 +433,10 @@ def main(argv=None) -> int:
                     "theta": THETA,
                     "dependencies": [[list(f.source_dims), list(f.target_dims)] for f in FDS],
                     "min_speedup_floor": args.min_speedup,
+                    "min_traversal_speedup_floor": MIN_TRAVERSAL_SPEEDUP,
                     "points": series,
                     "iid_reference": iid,
+                    "traversal": traversal,
                     "obs_overhead": obs,
                 },
                 fh,
@@ -330,6 +452,9 @@ def main(argv=None) -> int:
     )
     if final["speedup"] < args.min_speedup:
         print("FAIL: bulk build below the speedup floor")
+        return 1
+    if traversal["speedup"] < MIN_TRAVERSAL_SPEEDUP:
+        print("FAIL: group-merge traversal below its speedup floor")
         return 1
     if obs["overhead"] > args.max_obs_overhead:
         print("FAIL: telemetry overhead above the cap")

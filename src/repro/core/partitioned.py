@@ -1,10 +1,10 @@
-"""Partitioned range cubing: build per partition in parallel, tree-merge.
+"""Partitioned range cubing: build per partition in parallel, merge once.
 
 The range trie is canonical — the same tuple multiset always yields the
-same trie — and :func:`repro.core.reduction.merge_nodes` knows how to
-fuse two tries over the same dimensions while re-extracting shared
-values.  Together these give a divide-and-conquer loading path: split the
-fact table into partitions, build a trie per partition (independently, on
+same trie — and :func:`repro.core.reduction.merge_siblings` knows how to
+fuse tries over the same dimensions while re-extracting shared values.
+Together these give a divide-and-conquer loading path: split the fact
+table into partitions, build a trie per partition (independently, on
 separate cores), and merge.  The merged trie is *identical* to a
 monolithic load, so everything downstream (range cubing, incremental
 maintenance, persistence) is unaffected; the property tests assert the
@@ -21,9 +21,8 @@ pluggable executor (:mod:`repro.exec`):
    (:meth:`~repro.core.range_trie.RangeTrie.bulk_build_arrays`;
    :func:`build_trie_partition` is a module-level function so it
    pickles by reference for :class:`~repro.exec.ProcessExecutor`);
-3. **merge** — fuse the per-partition tries with a log-depth pairwise
-   tree reduction (balanced merges keep intermediate tries small,
-   unlike a left fold whose accumulator grows monotonically);
+3. **merge** — fuse the per-partition tries in one pass that groups
+   every trie's root children by value and builds each shared node once;
 4. **cube** — run the range-cubing traversal (Algorithm 2) once on the
    merged trie.
 
@@ -34,13 +33,14 @@ Per-stage wall-clock and counters flow through
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.range_cube import RangeCube
 from repro.core.range_trie import RangeTrie, RangeTrieNode
-from repro.core.reduction import merge_nodes
+from repro.core.reduction import merge_siblings
 from repro.exec.executors import Executor, resolve_executor
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.timing import StageTimings
@@ -64,7 +64,10 @@ _PARTITION_SECONDS = _REGISTRY.histogram(
 def merge_tries(tries: Sequence[RangeTrie]) -> RangeTrie:
     """Fuse tries over the same dimensions into one canonical trie.
 
-    Aggregates are merged with the first trie's aggregator.  The merge
+    One pass: every trie's root children are grouped by start value and
+    each group is merged once (:func:`~repro.core.reduction.merge_siblings`),
+    however many tries share it.  Aggregates are merged with the first
+    trie's aggregator, left to right in ``tries`` order.  The merge
     itself never modifies the inputs (it allocates fresh nodes where keys
     change), but the result *shares* untouched sub-tries with them — so
     treat the inputs as consumed if the merged trie will absorb further
@@ -78,41 +81,24 @@ def merge_tries(tries: Sequence[RangeTrie]) -> RangeTrie:
     base = tries[0]
     merged = RangeTrie(base.n_dims, base.aggregator)
     merge_agg = base.aggregator.merge
-    children: dict[int, RangeTrieNode] = {}
+    roots = [t.root for t in tries if t.root.agg is not None]
     total = None
-    for trie in tries:
-        if trie.root.agg is None:
-            continue
-        total = trie.root.agg if total is None else merge_agg(total, trie.root.agg)
-        for value, child in trie.root.children.items():
-            present = children.get(value)
-            children[value] = (
-                child if present is None else merge_nodes(present, child, merge_agg)
-            )
+    for root in roots:
+        total = root.agg if total is None else merge_agg(total, root.agg)
+    children = merge_siblings(
+        chain.from_iterable(root.children.values() for root in roots), merge_agg
+    )
     merged.root = RangeTrieNode((), children, total)
     return merged
 
 
 def tree_merge_tries(tries: Sequence[RangeTrie]) -> RangeTrie:
-    """Merge tries pairwise, log-depth, instead of a left fold.
+    """Merge the per-partition tries: the one-pass :func:`merge_tries`.
 
-    A left fold re-walks the ever-growing accumulator once per input; the
-    balanced tree merges tries of comparable size at every level, so the
-    total restructuring work is spread evenly and the intermediate tries
-    stay as small as the data allows.  The result is identical either way
-    (the trie is canonical).
+    Kept as a public name.  The group merge builds each shared node once
+    whatever the number of tries, so the tries need no pairing.
     """
-    if not tries:
-        raise ValueError("need at least one trie to merge")
-    level = list(tries)
-    while len(level) > 1:
-        merged = [
-            merge_tries(level[i : i + 2]) for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
+    return merge_tries(tries)
 
 
 def chunked(table: BaseTable, n_chunks: int) -> Iterable[BaseTable]:
@@ -244,7 +230,7 @@ def build_partitioned(
     finally:
         if owned:
             exec_obj.close()
-    return tree_merge_tries(tries)
+    return merge_tries(tries)
 
 
 def parallel_range_cubing(
@@ -352,11 +338,7 @@ def parallel_range_cubing_detailed(
                 )
             _PARTITIONS.inc(len(results))
             with timings.stage("merge"), _TRACER.span("merge"):
-                trie = (
-                    tree_merge_tries(tries)
-                    if tries
-                    else RangeTrie(working.n_dims, agg)
-                )
+                trie = merge_tries(tries) if tries else RangeTrie(working.n_dims, agg)
             with timings.stage("cube"), _TRACER.span("cube"):
                 columns = _traverse(trie, agg, min_support)
     finally:

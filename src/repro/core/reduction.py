@@ -10,7 +10,10 @@ range binding ``A1``, the trie is reorganized into one over
    ``A2`` pushes its key values down (either wrapping its children or
    appending to their keys) so its children surface;
 3. surfaced siblings that now share the same ``A2`` value are merged,
-   re-extracting the dimension values they have in common.
+   re-extracting the dimension values they have in common.  All k of
+   them merge in one step (:func:`merge_siblings`), so each reduced node
+   is built once, as the paper's each-node-aggregated-once argument
+   assumes.
 
 Everything here is **non-destructive**: reorganization allocates fresh
 nodes and shares untouched sub-tries, because the recursive step of range
@@ -25,7 +28,7 @@ the property test ``merge reduction == rebuild`` pins the fast path down.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.range_trie import RangeTrie, RangeTrieNode, merge_key
 from repro.table.aggregates import Aggregator
@@ -61,29 +64,84 @@ def _surface_candidates(
     ]
 
 
-def merge_nodes(a: RangeTrieNode, b: RangeTrieNode, merge_agg: Callable) -> RangeTrieNode:
-    """Merge two range-trie nodes that share their start (dim, value) pair.
+def merge_siblings(
+    candidates: Iterable[RangeTrieNode],
+    merge_agg: Callable,
+    children: dict | None = None,
+) -> dict[int, RangeTrieNode]:
+    """Key ``candidates`` by start value, building each shared value's node once.
 
-    The merged node keeps exactly the (dim, value) pairs common to both
-    keys — the values still shared by *all* tuples underneath — and the
-    leftovers of each side are surfaced and merged recursively.  This is
-    the same "find the common dimension values" step Algorithm 1 performs
-    during insertion, applied trie-to-trie.
+    All candidates share one start dimension.  A value seen once keeps its
+    candidate as it is (the sub-trie is shared, not copied); the k >= 2
+    candidates of a value are collected first and merged by ONE
+    :func:`_merge_group` call, so no intermediate node is allocated, nor
+    its children rebuilt, per extra candidate.  ``children``, when given,
+    is a dict of already-unique siblings the candidates fold into.
+    Values keep their first-appearance order.
     """
-    b_key_set = set(b.key)
-    common = tuple(p for p in a.key if p in b_key_set)
-    common_set = set(common)
-    a_res = [p for p in a.key if p not in common_set]
-    b_res = [p for p in b.key if p not in common_set]
-    candidates = _surface_candidates(a_res, a.children, a.agg)
-    candidates += _surface_candidates(b_res, b.children, b.agg)
-    children: dict[int, RangeTrieNode] = {}
+    if children is None:
+        children = {}
     get = children.get
+    groups: dict[int, list[RangeTrieNode]] = {}
     for cand in candidates:
         value = cand.key[0][1]
         present = get(value)
-        children[value] = cand if present is None else merge_nodes(present, cand, merge_agg)
-    return RangeTrieNode(common, children, merge_agg(a.agg, b.agg))
+        if present is None:
+            children[value] = cand
+        else:
+            group = groups.get(value)
+            if group is None:
+                groups[value] = [present, cand]
+            else:
+                group.append(cand)
+    for value, group in groups.items():
+        children[value] = _merge_group(group, merge_agg)
+    return children
+
+
+def _merge_group(group: list[RangeTrieNode], merge_agg: Callable) -> RangeTrieNode:
+    """The one node for k >= 2 nodes that share their start (dim, value) pair.
+
+    Its key keeps exactly the (dim, value) pairs common to all k keys —
+    the values still shared by *all* tuples underneath, the "find the
+    common dimension values" step Algorithm 1 performs during insertion,
+    applied trie-to-trie.  Each node's leftover pairs are surfaced once
+    and the surfaced siblings are merged by value, recursively.  States
+    fold left in group order, so the association order (and every float)
+    is that of merging the nodes one after another.
+    """
+    first = group[0]
+    key = first.key
+    state = first.agg
+    shared = None  # the common pairs, once some key differs from the first
+    for node in group[1:]:
+        state = merge_agg(state, node.agg)
+        if node.key != key:
+            if shared is None:
+                shared = set(key)
+            shared.intersection_update(node.key)
+    candidates: list[RangeTrieNode] = []
+    if shared is None:
+        # Equal keys: nothing to surface; fold the others' children into
+        # a copy of the first node's.
+        for node in group[1:]:
+            candidates.extend(node.children.values())
+        children = merge_siblings(candidates, merge_agg, dict(first.children))
+        return RangeTrieNode(key, children, state)
+    common = tuple([p for p in key if p in shared])
+    n_common = len(common)
+    for node in group:
+        if len(node.key) == n_common:
+            candidates.extend(node.children.values())
+        else:
+            residual = [p for p in node.key if p not in shared]
+            candidates.extend(_surface_candidates(residual, node.children, node.agg))
+    return RangeTrieNode(common, merge_siblings(candidates, merge_agg), state)
+
+
+def merge_nodes(a: RangeTrieNode, b: RangeTrieNode, merge_agg: Callable) -> RangeTrieNode:
+    """Merge two range-trie nodes that share their start (dim, value) pair."""
+    return _merge_group([a, b], merge_agg)
 
 
 def reduce_trie(root: RangeTrieNode, merge_agg: Callable) -> RangeTrieNode:
@@ -95,15 +153,12 @@ def reduce_trie(root: RangeTrieNode, merge_agg: Callable) -> RangeTrieNode:
     """
     candidates: list[RangeTrieNode] = []
     for child in root.children.values():
-        stripped = list(child.key[1:])
-        candidates.extend(_surface_candidates(stripped, child.children, child.agg))
-    children: dict[int, RangeTrieNode] = {}
-    get = children.get
-    for cand in candidates:
-        value = cand.key[0][1]
-        present = get(value)
-        children[value] = cand if present is None else merge_nodes(present, cand, merge_agg)
-    return RangeTrieNode((), children, root.agg)
+        key = child.key
+        if len(key) == 1:
+            candidates.extend(child.children.values())
+        else:
+            candidates.extend(_surface_candidates(key[1:], child.children, child.agg))
+    return RangeTrieNode((), merge_siblings(candidates, merge_agg), root.agg)
 
 
 def rebuild_reduced(trie: RangeTrie, drop_dim: int, aggregator: Aggregator) -> RangeTrie:

@@ -12,6 +12,7 @@ marked values as bound — and round-trips losslessly through
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +21,7 @@ import numpy as np
 from repro.core.range_cube import Range, RangeCube
 from repro.table.aggregates import Aggregator, default_aggregator
 from repro.table.base_table import BaseTable
+from repro.table.encoding import TableEncoder
 from repro.table.schema import Schema
 
 
@@ -36,6 +38,12 @@ def write_table_csv(table: BaseTable, path: str | Path) -> None:
             writer.writerow(row + list(measures))
 
 
+#: Rows the CSV reader holds at once: enough that each chunk's transpose
+#: and per-column encode run as a few bulk calls, few enough that the
+#: chunk's row strings stay small next to the table's own arrays.
+READ_CHUNK_ROWS = 8192
+
+
 def read_table_csv(
     path: str | Path,
     n_measures: int = 0,
@@ -44,18 +52,57 @@ def read_table_csv(
     """Read a header-first CSV into an (encoded) base table.
 
     The last ``n_measures`` columns are parsed as floats; everything else
-    is dictionary-encoded as a dimension, whatever its spelling.
+    is dictionary-encoded as a dimension, whatever its spelling.  The rows
+    stream through in chunks of :data:`READ_CHUNK_ROWS`: each chunk is
+    transposed into columns, and each column is encoded by its dimension's
+    first-appearance dictionary (the codes :meth:`BaseTable.from_rows`
+    assigns), so no more than one chunk of row strings is alive at once.
+    A row whose field count differs from the header's raises
+    ``ValueError``.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        rows = [tuple(r) for r in reader]
-    n_dims = len(header) - n_measures
-    if schema is None:
-        schema = Schema.from_names(header[:n_dims], header[n_dims:])
-    dim_rows = [r[:n_dims] for r in rows]
-    measures = [[float(v) for v in r[n_dims:]] for r in rows] if n_measures else None
-    return BaseTable.from_rows(schema, dim_rows, measures)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header line")
+        width = len(header)
+        n_dims = width - n_measures
+        if n_measures < 0 or n_dims < 0:
+            raise ValueError(f"n_measures={n_measures} does not fit a {width}-column header")
+        if schema is None:
+            schema = Schema.from_names(header[:n_dims], header[n_dims:])
+        elif (schema.n_dims, schema.n_measures) != (n_dims, n_measures):
+            raise ValueError(
+                f"schema has {schema.n_dims} dimensions and {schema.n_measures} "
+                f"measures; the header splits into {n_dims} and {n_measures}"
+            )
+        encoder = TableEncoder(schema)
+        code_chunks = [np.empty((0, n_dims), dtype=np.int64)]
+        measure_chunks = [np.empty((0, n_measures))]
+        n_rows = 0
+        while chunk := list(islice(reader, READ_CHUNK_ROWS)):
+            if set(map(len, chunk)) != {width}:
+                index = next(i for i, row in enumerate(chunk) if len(row) != width)
+                raise ValueError(
+                    f"{path}: data row {n_rows + index + 1} has "
+                    f"{len(chunk[index])} fields, the header has {width}"
+                )
+            columns = list(zip(*chunk))
+            codes = np.empty((len(chunk), n_dims), dtype=np.int64)
+            measures = np.empty((len(chunk), n_measures))
+            for d, dim_encoder in enumerate(encoder.encoders):
+                codes[:, d] = dim_encoder.encode_many(columns[d])
+            for m in range(n_measures):
+                measures[:, m] = list(map(float, columns[n_dims + m]))
+            code_chunks.append(codes)
+            measure_chunks.append(measures)
+            n_rows += len(chunk)
+    return BaseTable(
+        encoder.encoded_schema(),
+        np.concatenate(code_chunks),
+        np.concatenate(measure_chunks),
+        encoder,
+    )
 
 
 def write_range_cube_csv(

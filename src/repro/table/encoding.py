@@ -37,6 +37,20 @@ class DimensionEncoder:
             self._value_of.append(value)
         return code
 
+    def encode_many(self, values: Sequence[Hashable]) -> list[int]:
+        """Codes for ``values`` in order, as :meth:`encode` one at a time.
+
+        Fresh codes go to unseen values in order of first appearance; the
+        distinct values are found with ``dict.fromkeys`` and the codes
+        looked up with ``map``, so no Python-level loop runs per value.
+        """
+        code_of = self._code_of
+        for value in dict.fromkeys(values):
+            if value not in code_of:
+                code_of[value] = len(self._value_of)
+                self._value_of.append(value)
+        return list(map(code_of.__getitem__, values))
+
     def encode_existing(self, value: Hashable) -> int:
         """Return the code for ``value``; raise ``KeyError`` if unseen."""
         return self._code_of[value]

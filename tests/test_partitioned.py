@@ -9,6 +9,7 @@ from repro.core.incremental import range_cubing_from_trie
 from repro.core.partitioned import build_partitioned, chunked, merge_tries
 from repro.core.range_cubing import range_cubing
 from repro.core.range_trie import RangeTrie
+from repro.core.reduction import merge_nodes
 from repro.table.aggregates import SumCountAggregator
 from repro.table.base_table import BaseTable
 from repro.table.schema import Schema
@@ -63,6 +64,17 @@ def test_merge_skips_empty_tries():
     assert snapshot(merged.root) == snapshot(loaded.root)
 
 
+def test_merge_nodes_is_the_two_trie_merge_of_one_branch():
+    table = make_paper_table()
+    first, second = (RangeTrie.build(c, AGG) for c in chunked(table, 2))
+    shared = first.root.children.keys() & second.root.children.keys()
+    assert shared  # the paper table's halves both hold store S2
+    merged = merge_tries([first, second])
+    for value in shared:
+        node = merge_nodes(first.root.children[value], second.root.children[value], AGG.merge)
+        assert snapshot(node) == snapshot(merged.root.children[value])
+
+
 def test_empty_table():
     schema = Schema.from_names(["a", "b"])
     table = BaseTable(schema, np.zeros((0, 2), dtype=np.int64))
@@ -85,3 +97,21 @@ def test_partitioned_equals_monolithic_property(table, n_chunks):
     monolithic = RangeTrie.build(table, AGG)
     partitioned = build_partitioned(table, n_chunks, AGG)
     assert snapshot(partitioned.root) == snapshot(monolithic.root)
+
+
+@settings(max_examples=50, deadline=None)
+@given(table_strategy(min_rows=6, max_rows=40), st.integers(3, 6))
+def test_one_pass_merge_of_bulk_chunks_equals_the_whole_table(table, n_chunks):
+    whole = RangeTrie.bulk_build(table, AGG)
+    parts = np.array_split(np.arange(table.n_rows), n_chunks)  # all non-empty
+    chunks = [
+        RangeTrie.bulk_build_arrays(
+            table.n_dims, table.dim_codes[rows], table.measures[rows], AGG
+        )
+        for rows in parts
+    ]
+    merged = merge_tries(chunks)
+    # Node by node: keys, counts (exact) and children, in canonical order.
+    assert snapshot(merged.root) == snapshot(whole.root)
+    assert merged.root.agg[0] == whole.root.agg[0] == table.n_rows
+    merged.check_invariants()

@@ -7,14 +7,17 @@ insertion-order invariant.
 """
 
 import copy
+from unittest import mock
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import reduction
 from repro.core.range_trie import RangeTrie
 from repro.core.reduction import rebuild_reduced, reduce_trie
 from repro.table.aggregates import SumCountAggregator
 
-from tests.conftest import make_paper_table, table_strategy
+from tests.conftest import make_encoded_table, make_paper_table, table_strategy
 from tests.test_range_trie import key, snapshot
 
 STORE, CITY, PRODUCT, DATE = 0, 1, 2, 3
@@ -129,3 +132,51 @@ def test_iterated_reduction_equals_iterated_rebuild(table):
         fast = reduce_trie(fast, AGG.merge)
         slow = rebuild_reduced(slow, drop_dim=dim, aggregator=AGG)
         assert snapshot(fast) == snapshot(slow.root)
+
+
+@st.composite
+def broken_dependency_table(draw):
+    """A table whose first reduction merges k >= 3 siblings with differing keys.
+
+    Every row binds ``d1`` to one value and ``d2`` to its ``d0`` value,
+    except a few rows that break both dependencies.  Dropping ``d0``
+    leaves each of the k >= 3 ``d0`` branches a candidate at ``d1 = 0``
+    whose key or children still carry that branch's own ``d2``, so the
+    k candidates merge as one group whose residuals must surface.
+    """
+    n_dims = draw(st.integers(3, 5))
+    k = draw(st.integers(3, 5))
+    n_rows = draw(st.integers(k, 30))
+    rows = []
+    for i in range(n_rows):
+        head = i if i < k else draw(st.integers(0, k - 1))  # every d0 value occurs
+        tail = [draw(st.integers(0, 2)) for _ in range(n_dims - 3)]
+        rows.append([head, 0, head, *tail])
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        rows[i][1] = draw(st.integers(0, 2))
+        rows[i][2] = draw(st.integers(0, k))
+    measures = [(float(draw(st.integers(0, 50))),) for _ in rows]
+    return make_encoded_table(rows, measures=measures)
+
+
+@settings(max_examples=60, deadline=None)
+@given(broken_dependency_table(), st.sampled_from(["tuple", "bulk"]))
+def test_k_way_group_merge_equals_iterated_rebuild(table, strategy):
+    build = RangeTrie.build if strategy == "tuple" else RangeTrie.bulk_build
+    trie = build(table, AGG)
+    groups = []
+    merge_group = reduction._merge_group
+
+    def spy(group, merge_agg):
+        groups.append([node.key for node in group])
+        return merge_group(group, merge_agg)
+
+    fast = trie.root
+    slow = trie
+    with mock.patch.object(reduction, "_merge_group", spy):
+        for dim in range(table.n_dims):
+            fast = reduce_trie(fast, AGG.merge)
+            slow = rebuild_reduced(slow, drop_dim=dim, aggregator=AGG)
+            assert snapshot(fast) == snapshot(slow.root)
+    # The premise: some group of three or more had keys that differ.
+    assert any(len(keys) >= 3 and len(set(keys)) > 1 for keys in groups)
