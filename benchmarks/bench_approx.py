@@ -159,16 +159,6 @@ def main(argv=None) -> int:
         help="smaller table and fewer queries (the CI smoke job)",
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="fail unless approx beats exact by this factor "
-        f"(default {MIN_SPEEDUP:g}, {MIN_SPEEDUP_QUICK:g} with --quick)",
-    )
-    parser.add_argument(
-        "--min-coverage", type=float, default=MIN_COVERAGE,
-        help="fail unless the exact answer falls inside the reported "
-        "bounds on at least this fraction of queries",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write results as JSON (default: no file in --quick mode, "
         "BENCH_approx.json otherwise)",
@@ -176,9 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     n_rows = N_ROWS_QUICK if args.quick else N_ROWS
     n_queries = N_QUERIES_QUICK if args.quick else N_QUERIES
-    min_speedup = args.min_speedup if args.min_speedup is not None else (
-        MIN_SPEEDUP_QUICK if args.quick else MIN_SPEEDUP
-    )
+    min_speedup = MIN_SPEEDUP_QUICK if args.quick else MIN_SPEEDUP
     out_path = args.out if args.out else (
         None if args.quick else "BENCH_approx.json"
     )
@@ -202,7 +190,7 @@ def main(argv=None) -> int:
     quality = check_bounds(engine, requests)
     print(
         f"bounds: coverage {quality['coverage']:.1%} over "
-        f"{quality['queries']} queries (need >= {args.min_coverage:.0%}); "
+        f"{quality['queries']} queries (need >= {MIN_COVERAGE:.0%}); "
         f"count rel error mean {quality['mean_rel_error_count']:.3%} "
         f"p95 {quality['p95_rel_error_count']:.3%}; "
         f"mean 95% bound width {quality['mean_bound_width_count']:.3%}"
@@ -237,7 +225,7 @@ def main(argv=None) -> int:
                     "queries": n_queries,
                     "rounds": ROUNDS,
                     "min_speedup_floor": min_speedup,
-                    "min_coverage_floor": args.min_coverage,
+                    "min_coverage_floor": MIN_COVERAGE,
                     "exact_seconds": round(exact_s, 4),
                     "approx_seconds": round(approx_s, 4),
                     "exact_us_per_query": round(exact_s / n_queries * 1e6, 2),
@@ -252,7 +240,7 @@ def main(argv=None) -> int:
         print(f"wrote {out_path}")
 
     failed = False
-    if quality["coverage"] < args.min_coverage:
+    if quality["coverage"] < MIN_COVERAGE:
         print("FAIL: exact answers fall outside the reported bounds too often")
         failed = True
     if speedup < min_speedup:

@@ -59,6 +59,10 @@ except ModuleNotFoundError:  # executed as a script: put the repo root on the pa
 #: Acceptance floor for the tuple:bulk build-time ratio at the largest point.
 MIN_SPEEDUP = 3.0
 
+#: Cap on the share telemetry may add to an instrumented cubing run at
+#: the largest point.
+MAX_OBS_OVERHEAD = 0.05
+
 #: Acceptance floor for the traversal with the group-merge reduction over
 #: the traversal with the pairwise fold, at ``TRAVERSAL_POINT``.
 MIN_TRAVERSAL_SPEEDUP = 1.2
@@ -369,18 +373,9 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smallest scale (the CI smoke job)"
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=MIN_SPEEDUP,
-        help="fail unless bulk beats tuple by this factor at the largest point",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the series as JSON (default: no file in --quick mode, "
         "BENCH_bulk_build.json otherwise)",
-    )
-    parser.add_argument(
-        "--max-obs-overhead", type=float, default=0.05,
-        help="fail if telemetry adds more than this fraction to an "
-        "instrumented cubing run at the largest point",
     )
     args = parser.parse_args(argv)
     points = POINTS["quick"] if args.quick else PARAMS
@@ -420,7 +415,7 @@ def main(argv=None) -> int:
         f"telemetry overhead at {points[-1][0]:,} rows: "
         f"{max(obs['overhead'], 0) * 100:.1f}% "
         f"(on {obs['enabled_seconds']:.3f}s / off {obs['disabled_seconds']:.3f}s, "
-        f"cap {args.max_obs_overhead * 100:g}%)"
+        f"cap {MAX_OBS_OVERHEAD * 100:g}%)"
     )
 
     if out_path:
@@ -432,7 +427,7 @@ def main(argv=None) -> int:
                     "n_dims": N_DIMS,
                     "theta": THETA,
                     "dependencies": [[list(f.source_dims), list(f.target_dims)] for f in FDS],
-                    "min_speedup_floor": args.min_speedup,
+                    "min_speedup_floor": MIN_SPEEDUP,
                     "min_traversal_speedup_floor": MIN_TRAVERSAL_SPEEDUP,
                     "points": series,
                     "iid_reference": iid,
@@ -448,15 +443,15 @@ def main(argv=None) -> int:
     final = series[-1]
     print(
         f"floor: {final['speedup']:.1f}x at {final['n_rows']:,} rows "
-        f"(need >= {args.min_speedup:g}x)"
+        f"(need >= {MIN_SPEEDUP:g}x)"
     )
-    if final["speedup"] < args.min_speedup:
+    if final["speedup"] < MIN_SPEEDUP:
         print("FAIL: bulk build below the speedup floor")
         return 1
     if traversal["speedup"] < MIN_TRAVERSAL_SPEEDUP:
         print("FAIL: group-merge traversal below its speedup floor")
         return 1
-    if obs["overhead"] > args.max_obs_overhead:
+    if obs["overhead"] > MAX_OBS_OVERHEAD:
         print("FAIL: telemetry overhead above the cap")
         return 1
     print("OK")

@@ -177,18 +177,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smallest scale (the CI smoke job)"
     )
     parser.add_argument(
-        "--tolerance", type=float, default=TOLERANCE,
-        help="fail if auto exceeds the best static build by this factor",
-    )
-    parser.add_argument(
-        "--min-worst-ratio", type=float, default=MIN_WORST_RATIO,
-        help="fail unless the worst static costs this factor of auto",
-    )
-    parser.add_argument(
-        "--max-plan-fraction", type=float, default=MAX_PLAN_FRACTION,
-        help="fail if planning costs more than this fraction of one build",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the series as JSON (default: no file in --quick mode, "
         "BENCH_dimorder.json otherwise)",
@@ -212,9 +200,9 @@ def main(argv=None) -> int:
                     "benchmark": "dimorder",
                     "provenance": provenance(),
                     "n_rows": n_rows,
-                    "tolerance": args.tolerance,
-                    "min_worst_ratio": args.min_worst_ratio,
-                    "max_plan_fraction": args.max_plan_fraction,
+                    "tolerance": TOLERANCE,
+                    "min_worst_ratio": MIN_WORST_RATIO,
+                    "max_plan_fraction": MAX_PLAN_FRACTION,
                     "workloads": series,
                 },
                 fh,
@@ -225,22 +213,22 @@ def main(argv=None) -> int:
 
     failed = False
     for p in series:
-        if p["auto_vs_best"] > args.tolerance:
+        if p["auto_vs_best"] > TOLERANCE:
             print(
                 f"FAIL: {p['workload']}: auto is {p['auto_vs_best']:.2f}x the "
-                f"best static build (cap {args.tolerance:g}x)"
+                f"best static build (cap {TOLERANCE:g}x)"
             )
             failed = True
-        if p["worst_vs_auto"] < args.min_worst_ratio:
+        if p["worst_vs_auto"] < MIN_WORST_RATIO:
             print(
                 f"FAIL: {p['workload']}: worst static is only "
-                f"{p['worst_vs_auto']:.2f}x auto (need >= {args.min_worst_ratio:g}x)"
+                f"{p['worst_vs_auto']:.2f}x auto (need >= {MIN_WORST_RATIO:g}x)"
             )
             failed = True
-        if p["plan_fraction"] > args.max_plan_fraction:
+        if p["plan_fraction"] > MAX_PLAN_FRACTION:
             print(
                 f"FAIL: {p['workload']}: planning costs {p['plan_fraction']:.2f} "
-                f"of a build (cap {args.max_plan_fraction:g})"
+                f"of a build (cap {MAX_PLAN_FRACTION:g})"
             )
             failed = True
     if failed:

@@ -393,11 +393,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smallest scale (the CI smoke job)"
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=MIN_SPEEDUP,
-        help="fail unless batched columnar beats per-cell hash by this "
-        "factor at the largest point",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the series as JSON (default: no file in --quick mode, "
         "BENCH_point_queries.json otherwise)",
@@ -448,7 +443,7 @@ def main(argv=None) -> int:
                     ],
                     "queries_per_batch": BATCH_QUERIES,
                     "ghost_share": GHOST_SHARE,
-                    "min_speedup_floor": args.min_speedup,
+                    "min_speedup_floor": MIN_SPEEDUP,
                     "min_slice_speedup_floor": MIN_SLICE_SPEEDUP,
                     "min_drilldown_speedup_floor": MIN_DRILLDOWN_SPEEDUP,
                     "points": series,
@@ -461,7 +456,7 @@ def main(argv=None) -> int:
 
     failed = False
     for label, value, floor in (
-        ("batched points", final["speedup"], args.min_speedup),
+        ("batched points", final["speedup"], MIN_SPEEDUP),
         ("slices", lists["slice_speedup"], MIN_SLICE_SPEEDUP),
         ("drill-downs", lists["drilldown_speedup"], MIN_DRILLDOWN_SPEEDUP),
     ):

@@ -85,6 +85,12 @@ def _headline(data: dict) -> list[dict]:
         "value": f"{_fmt(data.get('speedup'))}x",
         "floor": f">= {_fmt(floor)}x" if floor else "—",
     }
+    if "refresh_ms" in data:
+        row["metric"] = "refresh (append + apex read) vs re-emit"
+        row["value"] = (
+            f"{_fmt(data['speedup'])}x ({_fmt(data['refresh_ms'])} vs "
+            f"{_fmt(data['reference_ms'], 1)} ms)"
+        )
     if "coverage" in data:
         row["metric"] = "approx speedup (bound coverage)"
         row["value"] = (

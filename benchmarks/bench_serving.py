@@ -11,27 +11,62 @@ queries drained through
 
 Run under pytest-benchmark like the other bench modules, or standalone
 as a CI smoke check that also verifies the cached path is at least
-``MIN_SPEEDUP``x the uncached one::
+``MIN_SPEEDUP``x the uncached one, and that a refresh — a 256-row
+append followed by the apex read — is at least ``MIN_REFRESH_SPEEDUP``x
+faster than re-emitting the cube from the trie, as every append did
+before the engine served a row delta::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --quick
+
+The full standalone run writes ``BENCH_serving.json``.
 """
 
+import json
+import statistics
 import time
 
+import numpy as np
+
+from repro.core.incremental import IncrementalRangeCuber
+from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.data.synthetic import zipf_probabilities
-from repro.serve import CubeServer, HTTPCubeClient, QueryEngine
+from repro.serve import CubeServer, HTTPCubeClient, QueryEngine, QueryRequest
+from repro.table.aggregates import default_aggregator
+from repro.table.base_table import BaseTable
+from repro.tune import TuningPlan, resolve_plan
 
 try:
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 except ModuleNotFoundError:  # executed as a script: put the repo root on the path
     import pathlib
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import PRESET, cached_zipf, run_once
+    from benchmarks.provenance import provenance
 
 #: The acceptance floor for the cached:uncached throughput ratio.
 MIN_SPEEDUP = 5.0
+
+#: The acceptance floor for the re-emit:delta refresh time ratio.
+MIN_REFRESH_SPEEDUP = 10.0
+
+#: The refresh workload: the end-to-end benchmark's ingest table shape
+#: (8 dims, cardinality 100, Zipf 1.5, d0 -> {d1, d2}, d4 -> {d5, d6, d7}),
+#: 20k base rows (6k with ``--quick``), 256-row appends.
+REFRESH_DIMS = 8
+REFRESH_CARD = 100
+REFRESH_THETA = 1.5
+REFRESH_FDS = (
+    FunctionalDependency((0,), (1, 2)),
+    FunctionalDependency((4,), (5, 6, 7)),
+)
+REFRESH_ROWS = {"quick": 6_000, "full": 20_000}
+APPEND_ROWS = 256
+#: Timed appends per side: under the compaction threshold at both sizes,
+#: so every one is a delta refresh.
+APPENDS = 5
 
 SCALES = {
     "quick": {"n_rows": 1000, "n_dims": 5, "cardinality": 20, "n_queries": 2000},
@@ -137,16 +172,78 @@ def _timed(fn, *args) -> tuple[int, float]:
     return result, time.perf_counter() - start
 
 
+def measure_refresh(n_rows: int) -> dict:
+    """Median refresh ms: the engine's delta path against a re-emit per append.
+
+    Both sides absorb the same base and the same 256-row batches; each
+    refresh ends with the apex read.  The reference is a refresh as the
+    engine did it before serving a row delta: absorb, Algorithm 2 over
+    the whole trie (``IncrementalRangeCuber.cube``), ``to_columnar`` and
+    the apex lookup.  Integer measures make the two apex answers equal.
+    """
+    table = correlated_table(
+        n_rows + APPENDS * APPEND_ROWS, REFRESH_DIMS, REFRESH_CARD, REFRESH_FDS,
+        theta=REFRESH_THETA, seed=17,
+    )
+    measures = np.floor(table.measures * 100)
+    base = BaseTable(table.schema, table.dim_codes[:n_rows], measures[:n_rows])
+    batches = [
+        (table.dim_codes[lo:lo + APPEND_ROWS].tolist(),
+         measures[lo:lo + APPEND_ROWS].tolist())
+        for lo in range(n_rows, n_rows + APPENDS * APPEND_ROWS, APPEND_ROWS)
+    ]
+    apex = [None] * REFRESH_DIMS
+
+    engine = QueryEngine.from_table(base)
+    request = QueryRequest(op="point", cell=apex)
+    engine.execute(request)
+    delta_s, delta_apex = [], []
+    for rows, meas in batches:
+        start = time.perf_counter()
+        engine.append(rows, meas)
+        answer = engine.execute(request)["value"]
+        delta_s.append(time.perf_counter() - start)
+        delta_apex.append(answer)
+
+    # The engine's own construction: the auto-planned trie order.
+    aggregator = default_aggregator(base.n_measures)
+    plan, order = resolve_plan(base, "auto")
+    if plan is None and order is not None:
+        plan = TuningPlan(order, source="fixed")
+    cuber = IncrementalRangeCuber(REFRESH_DIMS, aggregator, plan=plan)
+    cuber.insert_table(base)
+    emit_s, emit_apex = [], []
+    for rows, meas in batches:
+        start = time.perf_counter()
+        cuber.insert_batch(rows, meas)
+        cube = cuber.cube()
+        cube.to_columnar()
+        answer = aggregator.finalize(cube.lookup(apex))
+        emit_s.append(time.perf_counter() - start)
+        emit_apex.append(answer)
+    if delta_apex != emit_apex:
+        raise AssertionError(f"apex answers differ: {delta_apex} vs {emit_apex}")
+    refresh_ms = statistics.median(delta_s) * 1e3
+    reference_ms = statistics.median(emit_s) * 1e3
+    return {
+        "n_rows": n_rows,
+        "n_dims": REFRESH_DIMS,
+        "cardinality": REFRESH_CARD,
+        "append_rows": APPEND_ROWS,
+        "appends": APPENDS,
+        "compactions": engine.stats()["compactions"],
+        "refresh_ms": round(refresh_ms, 3),
+        "reference_ms": round(reference_ms, 3),
+        "speedup": round(reference_ms / refresh_ms, 2),
+    }
+
+
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="smallest scale (the CI smoke job)"
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=MIN_SPEEDUP,
-        help="fail unless cached/uncached throughput exceeds this ratio",
     )
     args = parser.parse_args(argv)
     params = SCALES["quick"] if args.quick else PARAMS
@@ -180,6 +277,8 @@ def main(argv=None) -> int:
         set_enabled(True)
         drain(cached, queries)  # warm the instrumented path once
         _, warm_obs = _timed(drain, cached, queries)
+        set_enabled(False)
+        refresh = measure_refresh(REFRESH_ROWS["quick" if args.quick else "full"])
     finally:
         set_enabled(was_enabled)
 
@@ -195,9 +294,43 @@ def main(argv=None) -> int:
         f"({warm_obs * 1e6 / n:.1f}us/query, telemetry enabled; "
         f"+{max(warm_obs - warm, 0) * 1e6 / n:.1f}us/query)"
     )
-    print(f"speedup: {speedup:.1f}x (floor {args.min_speedup:g}x); {hits} non-empty")
-    if speedup < args.min_speedup:
+    print(f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP:g}x); {hits} non-empty")
+    print(
+        f"refresh: {refresh['n_rows']:,} rows + {APPEND_ROWS}-row appends, "
+        f"delta {refresh['refresh_ms']:.2f}ms vs re-emit {refresh['reference_ms']:.1f}ms "
+        f"= {refresh['speedup']:.1f}x (floor {MIN_REFRESH_SPEEDUP:g}x)"
+    )
+    if not args.quick:
+        with open("BENCH_serving.json", "w") as fh:
+            json.dump(
+                {
+                    "benchmark": "serving",
+                    "provenance": provenance(),
+                    "theta": REFRESH_THETA,
+                    "dependencies": [
+                        [list(f.source_dims), list(f.target_dims)] for f in REFRESH_FDS
+                    ],
+                    **refresh,
+                    "min_speedup_floor": MIN_REFRESH_SPEEDUP,
+                    "cached": {
+                        "n_rows": table.n_rows,
+                        "queries": n,
+                        "uncached_us": round(cold * 1e6 / n, 2),
+                        "cached_us": round(warm * 1e6 / n, 2),
+                        "speedup": round(speedup, 2),
+                        "min_speedup_floor": MIN_SPEEDUP,
+                    },
+                },
+                fh,
+                indent=2,
+            )
+            fh.write("\n")
+        print("wrote BENCH_serving.json")
+    if speedup < MIN_SPEEDUP:
         print("FAIL: cached path below the speedup floor")
+        return 1
+    if refresh["speedup"] < MIN_REFRESH_SPEEDUP:
+        print("FAIL: delta refresh below the refresh speedup floor")
         return 1
     print("OK")
     return 0

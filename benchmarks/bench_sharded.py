@@ -166,10 +166,6 @@ def main(argv=None) -> int:
         help="single vs 4 shards only (the CI smoke job)",
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=MIN_SPEEDUP,
-        help="fail unless 4 shards beat the single engine by this factor",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the curve as JSON (default: no file in --quick mode, "
         "BENCH_sharded.json otherwise)",
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
                     "queries_per_batch": BATCH_QUERIES,
                     "rounds": ROUNDS,
                     "dice_share": DICE_SHARE,
-                    "min_speedup_floor": args.min_speedup,
+                    "min_speedup_floor": MIN_SPEEDUP,
                     "points": points,
                 },
                 fh,
@@ -268,9 +264,9 @@ def main(argv=None) -> int:
     final = points[-1]
     print(
         f"floor: {final['speedup']:.2f}x at {final['shards']} shards "
-        f"(need >= {args.min_speedup:g}x)"
+        f"(need >= {MIN_SPEEDUP:g}x)"
     )
-    if final["speedup"] < args.min_speedup:
+    if final["speedup"] < MIN_SPEEDUP:
         print("FAIL: sharded routing below the speedup floor")
         return 1
     print("OK")

@@ -278,11 +278,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smallest scale (the CI smoke job)"
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=MIN_SPEEDUP,
-        help="fail unless the snapshot cold start beats the JSON trie load "
-        "by this factor at the largest point",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the series as JSON (default: no file in --quick mode, "
         "BENCH_snapshot.json otherwise)",
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
                     ],
                     "queries_per_batch": MASK_QUERIES,
                     "cold_budget_bytes": COLD_BUDGET,
-                    "min_speedup_floor": args.min_speedup,
+                    "min_speedup_floor": MIN_SPEEDUP,
                     "points": series,
                 },
                 fh,
@@ -328,9 +323,9 @@ def main(argv=None) -> int:
     final = series[-1]
     print(
         f"floor: {final['speedup']:.1f}x at {final['n_rows']:,} rows "
-        f"(need >= {args.min_speedup:g}x)"
+        f"(need >= {MIN_SPEEDUP:g}x)"
     )
-    if final["speedup"] < args.min_speedup:
+    if final["speedup"] < MIN_SPEEDUP:
         print("FAIL: snapshot cold start below the speedup floor")
         return 1
     print("OK")

@@ -34,6 +34,8 @@ REQUIRED_FAMILIES = (
     "repro_append_rows_total",
     "repro_append_seconds",
     "repro_cube_refreshes_total",
+    "repro_compactions_total",
+    "repro_delta_rows",
     "repro_cube_version",
     "repro_http_requests_total",
     "repro_query_batches_total",

@@ -29,6 +29,7 @@ from repro.approx.sketch import (
     ApproxAnswer,
     CubeSketch,
     SketchUnsupported,
+    combine_partials,
     component_layout,
     exact_partial,
     finalize_partials,
@@ -38,6 +39,7 @@ __all__ = [
     "ApproxAnswer",
     "CubeSketch",
     "SketchUnsupported",
+    "combine_partials",
     "component_layout",
     "exact_partial",
     "finalize_partials",

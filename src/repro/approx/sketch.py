@@ -488,8 +488,14 @@ def _histograms(
 # ----------------------------------------------------------------------
 
 
-def exact_partial(aggregator: Aggregator, state: tuple | None) -> dict:
-    """An exact aggregate state wrapped as a zero-variance partial."""
+def exact_partial(
+    aggregator: Aggregator, state: tuple | None, *, sample_size: int = 0, matched: int = 0
+) -> dict:
+    """An exact aggregate state wrapped as a zero-variance partial.
+
+    ``sample_size`` and ``matched`` count the rows it read and the rows
+    that matched, when the state was read off rows (an append delta).
+    """
     components, _ = component_layout(aggregator)
     flat = _state_components(aggregator, state, len(components))
     return {
@@ -499,10 +505,35 @@ def exact_partial(aggregator: Aggregator, state: tuple | None) -> dict:
         "floor": flat,
         "floor_valid": [True] * len(flat),
         "ceil": flat[0],
-        "sample_size": 0,
-        "matched": 0,
+        "sample_size": sample_size,
+        "matched": matched,
         "population": 0,
         "rows": 0,
+    }
+
+
+def combine_partials(first: Mapping, second: Mapping) -> dict:
+    """Two partials over disjoint rows as one partial.
+
+    Totals, variances, floors and ceilings add, as in
+    :func:`finalize_partials`.  The result keeps ``first``'s estimator,
+    so an exact partial added to a sampled one leaves the answer sampled.
+    """
+    ceil = (
+        None if first["ceil"] is None or second["ceil"] is None
+        else first["ceil"] + second["ceil"]
+    )
+    return {
+        "estimator": first["estimator"],
+        "est": [a + b for a, b in zip(first["est"], second["est"])],
+        "var": [a + b for a, b in zip(first["var"], second["var"])],
+        "floor": [a + b for a, b in zip(first["floor"], second["floor"])],
+        "floor_valid": [a and b for a, b in zip(first["floor_valid"], second["floor_valid"])],
+        "ceil": ceil,
+        "sample_size": first["sample_size"] + second["sample_size"],
+        "matched": first["matched"] + second["matched"],
+        "population": first["population"] + second["population"],
+        "rows": first["rows"] + second["rows"],
     }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,30 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate_all(self) -> int:
-        """Drop every entry (after a cube refresh); returns how many were dropped."""
+    def invalidate_all(
+        self, rekey: Callable[[Hashable, Any], tuple | None] | None = None
+    ) -> int:
+        """Drop every entry (after a cube refresh); returns how many were dropped.
+
+        ``rekey(key, value)``, when given, may carry an entry over
+        instead: it returns the ``(key, value)`` to keep it under, or
+        ``None`` to drop it.  Carried entries keep their recency order.
+        """
         with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
+            entries = self._entries
             self._invalidations += 1
-            return dropped
+            if rekey is None:
+                dropped = len(entries)
+                entries.clear()
+                return dropped
+            kept: OrderedDict[Hashable, Any] = OrderedDict()
+            for key, value in entries.items():
+                carried = rekey(key, value)
+                if carried is not None:
+                    kept[carried[0]] = carried[1]
+            # One attribute swap: the lock-free ``get`` reads either dict.
+            self._entries = kept
+            return len(entries) - len(kept)
 
     def keys(self) -> list[Hashable]:
         """Current keys, least-recently-used first (a snapshot, for tests)."""

@@ -26,16 +26,20 @@ bytes.  Subclasses supply only what differs: the write path, readiness,
 the stats and EXPLAIN extras, and — for the router — the resolver.
 
 Readers take the current :class:`CubeVersion` once per request and
-never look back, so a concurrent refresh cannot tear a response.  The
+never look back, so a concurrent refresh cannot tear a response.  A
+resident version is a base cube plus a :class:`RowDelta` of the rows
+appended since it was emitted; the local resolver merges the two.  The
 result cache's keys embed the version number, so entries cached against
-an old cube can never answer for a new one even before the post-swap
-``invalidate_all`` (which exists to free the memory, not for
-correctness).  Failures are :class:`~repro.serve.protocol.ServeError`
-carrying the one :class:`~repro.serve.protocol.ErrorInfo` taxonomy.
+an old version can never answer for a new one even before the post-swap
+``invalidate_all`` (which frees the memory and re-keys the answers no
+appended row can reach, not a correctness step).  Failures are
+:class:`~repro.serve.protocol.ServeError` carrying the one
+:class:`~repro.serve.protocol.ErrorInfo` taxonomy.
 """
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 import weakref
@@ -46,11 +50,12 @@ import numpy as np
 from repro.approx import (
     CubeSketch,
     SketchUnsupported,
+    combine_partials,
     component_layout,
     exact_partial,
     finalize_partials,
 )
-from repro.core.columnar import collect_explain
+from repro.core.columnar import _FastStateColumns, collect_explain, explain_collector
 from repro.core.incremental import IncrementalRangeCuber
 from repro.cube.cell import Cell
 from repro.obs import OBS_STATE, SlowQueryLog, get_registry, get_tracer
@@ -103,6 +108,10 @@ _APPEND_SECONDS = _REGISTRY.histogram(
 _REFRESHES = _REGISTRY.counter(
     "repro_cube_refreshes_total", "Cube version swaps (one per successful append)."
 )
+_COMPACTIONS = _REGISTRY.counter(
+    "repro_compactions_total",
+    "Appends that folded the row delta into a freshly emitted base cube.",
+)
 _SLOW_QUERIES = _REGISTRY.counter(
     "repro_slow_queries_total", "Requests slower than the slow-query threshold."
 )
@@ -136,6 +145,11 @@ _CUBE_VERSION = _REGISTRY.gauge(
 )
 _ROWS_RESIDENT = _REGISTRY.gauge(
     "repro_rows_resident", "Fact rows absorbed into the resident trie.", ("engine",)
+)
+_DELTA_ROWS = _REGISTRY.gauge(
+    "repro_delta_rows",
+    "Appended rows served from the row delta (not yet in the base cube).",
+    ("engine",),
 )
 _APPROX_REQUESTS = _REGISTRY.counter(
     "repro_approx_requests_total",
@@ -178,8 +192,13 @@ def _register_engine_collector(engine: "QueryEngine") -> None:
         _CACHE_INVALIDATIONS.set(cache.invalidations, engine=label)
         _CUBE_VERSION.set(live.version, engine=label)
         _ROWS_RESIDENT.set(live._cuber.n_rows_absorbed, engine=label)
+        _DELTA_ROWS.set(live.delta_rows, engine=label)
 
     _REGISTRY.register_collector(collect)
+
+
+#: What an append accepts as a row, a measure row or the list of either.
+_ROW_TYPES = (list, tuple, np.ndarray)
 
 
 def validate_rows(rows, measures, n_dims: int, n_measures: int):
@@ -187,28 +206,39 @@ def validate_rows(rows, measures, n_dims: int, n_measures: int):
 
     Shared by the single engine and the shard router (which must reject
     exactly what the engine rejects, *before* the batch is routed).
-    Returns ``(rows, measures)`` as clean int/float tuples.
+    Returns ``(rows, measures)`` as clean int/float tuples.  Every
+    malformed shape — a flat row or measure list, a code that is not a
+    non-negative int, a measure that is not a number — is a
+    ``bad_request``, and nothing of the batch is absorbed.
     """
     if not rows:
         raise ServeError("append needs at least one row")
     if measures is None:
         measures = [[0.0] * n_measures] * len(rows) if n_measures else [()] * len(rows)
+    if not isinstance(measures, _ROW_TYPES):
+        raise ServeError("append 'measures' must be a list of measure rows")
     if len(measures) != len(rows):
         raise ServeError(f"{len(rows)} rows but {len(measures)} measure rows")
     clean_rows = []
     clean_measures = []
     for row, meas in zip(rows, measures):
+        if not isinstance(row, _ROW_TYPES):
+            raise ServeError(f"row {row!r} must be a list of {n_dims} codes")
         if len(row) != n_dims:
             raise ServeError(
                 f"row {list(row)!r} has {len(row)} dims, cube has {n_dims}"
             )
         if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in row):
             raise ServeError(f"row {list(row)!r} must contain non-negative codes")
+        if not isinstance(meas, _ROW_TYPES):
+            raise ServeError(f"measure row {meas!r} must be a list of {n_measures} numbers")
         if len(meas) != n_measures:
             raise ServeError(
                 f"measure row {list(meas)!r} has {len(meas)} values, "
                 f"expected {n_measures}"
             )
+        if any(not isinstance(v, numbers.Real) or isinstance(v, bool) for v in meas):
+            raise ServeError(f"measure row {list(meas)!r} must contain numbers")
         clean_rows.append(tuple(int(v) for v in row))
         clean_measures.append(tuple(float(v) for v in meas))
     return clean_rows, clean_measures
@@ -233,27 +263,192 @@ def covering_schema(schema: Schema, rows: Sequence[Sequence[int]] = ()) -> Schem
     )
 
 
+#: A row delta folds into a freshly emitted base (a *compaction*) once it
+#: holds this share of the rows the base was emitted from ...
+COMPACT_FRACTION = 0.25
+
+#: ... or this many rows, whichever comes first: every read that reaches
+#: the delta ANDs bitsets and reduces measure rows whose length follows it.
+COMPACT_MAX_ROWS = 8192
+
+
+class RowDelta:
+    """The rows appended since the base cube was emitted, answered off bitsets.
+
+    Immutable: :meth:`extend` returns a new delta, so a version keeps
+    answering from the one it was built with.  ``codes`` holds the rows
+    in their original coding, ``measures`` their measure block, and
+    ``bits[d][v]`` is a Python-int bitset of the rows carrying code
+    ``v`` on dimension ``d``.  A cell's rows are the AND of its bound
+    values' bitsets and a dice predicate's the OR of its codes'; COUNT
+    is the bitset's popcount and the other state components are one
+    reduction each over the delta's ``_FastStateColumns``.  No trie,
+    traversal or freeze.
+    """
+
+    __slots__ = ("aggregator", "codes", "measures", "bits", "_fast")
+
+    def __init__(
+        self,
+        aggregator: Aggregator,
+        codes: np.ndarray,
+        measures: np.ndarray,
+        bits: list[dict[int, int]],
+    ) -> None:
+        self.aggregator = aggregator
+        self.codes = codes
+        self.measures = measures
+        self.bits = bits
+        self._fast = _FastStateColumns.from_block(aggregator, measures)
+
+    @classmethod
+    def empty(cls, aggregator: Aggregator, n_dims: int, n_measures: int) -> "RowDelta":
+        return cls(
+            aggregator,
+            np.zeros((0, n_dims), dtype=np.int64),
+            np.zeros((0, n_measures), dtype=np.float64),
+            [{} for _ in range(n_dims)],
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def extend(self, rows: Sequence[tuple], measures: Sequence[tuple]) -> "RowDelta":
+        """This delta plus validated ``rows`` (a new delta; this one is untouched)."""
+        start = len(self)
+        batch: list[dict[int, int]] = [{} for _ in self.bits]
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for seen, v in zip(batch, row):
+                seen[v] = seen.get(v, 0) | bit
+        bits = []
+        for old, seen in zip(self.bits, batch):
+            merged = dict(old)
+            for v, b in seen.items():
+                merged[v] = merged.get(v, 0) | b << start
+            bits.append(merged)
+        n = len(rows)
+        return RowDelta(
+            self.aggregator,
+            np.concatenate((self.codes, np.asarray(rows, dtype=np.int64).reshape(n, -1))),
+            np.concatenate(
+                (self.measures, np.asarray(measures, dtype=np.float64).reshape(n, -1))
+            ),
+            bits,
+        )
+
+    def match(self, cell: Cell, predicates: Mapping[int, Sequence[int]] | None = None) -> int:
+        """The bitset of the rows matching ``cell``'s bound values and ``predicates``."""
+        rows = (1 << len(self)) - 1
+        for d, v in enumerate(cell):
+            if v is not None:
+                rows &= self.bits[d].get(v, 0)
+                if not rows:
+                    return 0
+        for d, codes in (predicates or {}).items():
+            bits = self.bits[d]
+            admitted = 0
+            for v in codes:
+                admitted |= bits.get(v, 0)
+            rows &= admitted
+            if not rows:
+                return 0
+        return rows
+
+    def mask(self, rows: int) -> np.ndarray:
+        """Bitset ``rows`` as a boolean row mask."""
+        raw = np.frombuffer(rows.to_bytes((len(self) + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=len(self), bitorder="little").view(bool)
+
+    def state(self, rows: int) -> tuple | None:
+        """The merged state of the rows in bitset ``rows`` (None when empty)."""
+        if not rows:
+            return None
+        if self._fast is not None:
+            return self._fast.merge(rows.bit_count(), self.mask(rows))
+        return self.aggregator.reduce_segments(self.measures[self.mask(rows)], (0,))[0]
+
+    def children(self, cell: Cell, dim: int) -> tuple[list[tuple[int, tuple]], int]:
+        """``((code, state) pairs in code order, rows matched)`` along ``dim``.
+
+        The matching rows group by their code in one sort, and
+        :meth:`~repro.table.aggregates.Aggregator.reduce_segments` — the
+        bulk trie build's batch kernel — reduces each group.
+        """
+        rows = self.match(cell)
+        if not rows:
+            return [], 0
+        ids = np.flatnonzero(self.mask(rows))
+        codes = self.codes[ids, dim]
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        states = self.aggregator.reduce_segments(self.measures[ids[order]], starts)
+        return list(zip(codes[starts].tolist(), states)), len(ids)
+
+    def cells(self, rows: int) -> dict[tuple, tuple]:
+        """Finest cell -> merged state of the rows in bitset ``rows``."""
+        mask = self.mask(rows)
+        agg = self.aggregator
+        out: dict[tuple, tuple] = {}
+        states = agg.states_from_block(self.measures[mask])
+        for cell, state in zip(map(tuple, self.codes[mask].tolist()), states):
+            out[cell] = agg.merge_many((out.get(cell), state))
+        return out
+
+
+def _merge_pairs(agg: Aggregator, partials: Sequence[list]) -> list:
+    """Union ``(code, state)`` lists, merging equal codes, in code order."""
+    if len(partials) == 1:
+        return partials[0]  # one contributor: already in code order
+    by_code: dict[int, tuple] = {}
+    for children in partials:
+        for code, state in children:
+            present = by_code.get(code)
+            by_code[code] = state if present is None else agg.merge(present, state)
+    return sorted(by_code.items())
+
+
 class CubeVersion:
     """One immutable generation of the served cube, and its local resolver.
 
     Readers hold a reference for the duration of a request; an engine
     swaps in a fresh instance on refresh and never mutates an old one.
-    ``cube`` is a :class:`~repro.core.range_cube.RangeCube` or a mapped
-    :class:`~repro.store.engine.SnapshotCube` — or ``None`` for the shard
-    router, whose cube state lives in its workers.  The approx-tier
-    sketch is built on first use and dies with the version.
+    ``cube`` is the *base*: a :class:`~repro.core.range_cube.RangeCube`
+    or a mapped :class:`~repro.store.engine.SnapshotCube` — or ``None``
+    for the shard router, whose cube state lives in its workers.
+    ``delta`` is the :class:`RowDelta` of the rows appended since the
+    base was emitted (``None`` when there are none), and every answer is
+    the base's state merged with the delta's.  Versions that share a
+    base share its approx-tier ``sketches`` (built on first use), as
+    they share its columnar store and point index.
     """
 
-    __slots__ = ("version", "cube", "schema", "_sketch")
+    __slots__ = ("version", "cube", "schema", "delta", "_sketches")
 
-    def __init__(self, version: int, cube, schema: Schema) -> None:
+    def __init__(
+        self,
+        version: int,
+        cube,
+        schema: Schema,
+        delta: RowDelta | None = None,
+        *,
+        sketches: dict | None = None,
+    ) -> None:
         self.version = version
         self.cube = cube
         self.schema = schema
-        self._sketch: tuple | None = None  # (seed, sketch or None) once built
+        self.delta = delta if delta else None
+        self._sketches: dict = {} if sketches is None else sketches  # seed -> sketch
+
+    def successor(self, schema: Schema, delta: RowDelta) -> "CubeVersion":
+        """The next version: this base (and its sketches) plus ``delta``."""
+        return CubeVersion(
+            self.version + 1, self.cube, schema, delta, sketches=self._sketches
+        )
 
     def sketch(self, seed: int = 0) -> "CubeSketch | None":
-        """The cube's sampling sketch, loaded or built lazily.
+        """The base cube's sampling sketch, loaded or built lazily.
 
         A mapped snapshot carries its persisted sketch; a resident cube
         builds one from its columnar layout.  ``seed`` must differ per
@@ -261,9 +456,8 @@ class CubeVersion:
         for independent samples.  ``None`` — cached too — means the
         store cannot be estimated.
         """
-        cached = self._sketch
-        if cached is not None and cached[0] == seed:
-            return cached[1]
+        if seed in self._sketches:
+            return self._sketches[seed]
         store = self.cube.to_columnar()
         sketch = getattr(store, "sketch", None)
         if sketch is None:
@@ -272,8 +466,8 @@ class CubeVersion:
             except SketchUnsupported:
                 sketch = None
         # Benign race: concurrent first requests may build twice; the
-        # single attribute store keeps the swap atomic.
-        self._sketch = (seed, sketch)
+        # single dict store keeps the publication atomic.
+        self._sketches[seed] = sketch
         return sketch
 
     def resolve(
@@ -289,6 +483,7 @@ class CubeVersion:
         partial estimate (:meth:`repro.approx.CubeSketch.estimate_partial`).
         Point items at the ``pooled`` positions resolve together through
         one ``lookup_batch``; every other point item is one ``lookup``.
+        The base answers first, then the delta's states merge in.
         """
         cube = self.cube
         out: list = [None] * len(items)
@@ -310,7 +505,63 @@ class CubeVersion:
                 out[i] = self._approx_dice(item[1], item[2], item[3], sketch_seed)
             else:
                 raise ServeError(f"unknown state item kind {kind!r}")
+        if self.delta is not None:
+            self._add_delta(items, out)
         return out
+
+    def _add_delta(self, items: Sequence[tuple], out: list) -> None:
+        """Merge the delta's state for each item into the base's, in place."""
+        delta = self.delta
+        agg = delta.aggregator
+        acc = explain_collector()
+        for i, item in enumerate(items):
+            kind = item[0]
+            if kind == "children":
+                children, matched = delta.children(item[1], item[2])
+                if children:
+                    out[i] = _merge_pairs(agg, [out[i], children]) if out[i] else children
+            else:
+                rows = delta.match(item[1], None if kind == "point" else item[2])
+                matched = rows.bit_count()
+                if kind == "approx_dice":  # reads every delta row
+                    out[i] = self._approx_with_delta(out[i], item, rows)
+                elif rows:
+                    out[i] = agg.merge_many((out[i], delta.state(rows)))
+            if acc is not None:
+                acc.add("delta_rows_matched", matched)
+
+    def _approx_with_delta(self, partial: dict, item: tuple, rows: int) -> dict:
+        """An approx dice's base partial plus the delta rows it matched.
+
+        The delta is read in full, so it joins as an exact zero-variance
+        partial that counts its rows in ``sample_size``/``matched`` and
+        keeps the base's estimator (no ``fallback``).  ``having`` filters
+        finest cells on their count in base and delta together: the
+        sketch estimates the base cells that clear it alone, and the
+        exact part adds the delta's rows of every cell that clears it,
+        plus the base rows of the cells that clear it only with the delta.
+        """
+        delta = self.delta
+        agg = delta.aggregator
+        having = item[3]
+        if having is None:
+            state, matched = delta.state(rows), rows.bit_count()
+        else:
+            cells = delta.cells(rows)
+            parts: list = []
+            matched = 0
+            for added, base in zip(cells.values(), self.cube.lookup_batch(list(cells))):
+                below = 0 if base is None else base[0]
+                if added[0] + below >= having:
+                    parts.append(added)
+                    matched += added[0]
+                    if below and below < having:
+                        parts.append(base)
+            state = agg.merge_many(parts)
+        return combine_partials(
+            partial,
+            exact_partial(agg, state, sample_size=len(delta), matched=matched),
+        )
 
     def _children(self, cell: Cell, dim: int) -> list[tuple[int, tuple]]:
         """``(code, state)`` for the non-empty children of ``cell`` along ``dim``.
@@ -350,6 +601,47 @@ class CubeVersion:
         return sketch.estimate_partial(base, predicates, having=having)
 
 
+def _carry_over(old: int, new: int, schema: Schema, rows: Sequence[tuple]):
+    """The cache re-key function of an append that extends the delta.
+
+    An answer cached under version ``old`` carries over to ``new`` when no
+    row of the batch can reach it: one of its bound values, or one of its
+    dice predicates, has no row in the batch.  Keys are
+    :meth:`Engine._cache_key`'s; dimension names resolve through
+    ``schema``.  Entries already under ``new`` stay; approx answers and
+    everything else are dropped.
+    """
+    present = [set(codes) for codes in zip(*rows)]
+
+    def unreachable(key) -> bool:
+        op, cell = key[1], key[2]
+        if op == "dice" and len(key) > 4:
+            return False  # approx answers are dropped
+        free = -1
+        if op == "rollup":  # as Engine._resolve_dim reads it
+            free = schema.dimension_index(key[3]) if isinstance(key[3], str) else key[3]
+        if cell is not None and any(
+            v is not None and d != free and v not in present[d]
+            for d, v in enumerate(cell)
+        ):
+            return True
+        # Predicate keys as Engine._normalize_predicates reads them.
+        return op == "dice" and any(
+            present[int(dim) if dim.isdigit() else schema.dimension_index(dim)]
+            .isdisjoint(codes)
+            for dim, codes in key[3]
+        )
+
+    def rekey(key, value):
+        if key[0] != old:
+            return (key, value) if key[0] == new else None
+        if not unreachable(key):
+            return None
+        return (new, *key[1:]), dict(value, version=new)
+
+    return rekey
+
+
 class _Plan:
     """One validated request: its state items plus the response shape."""
 
@@ -385,17 +677,8 @@ class _Plan:
 
 def _merge_children(agg: Aggregator, cell: Cell, dim: int, partials: list) -> list:
     """Union per-shard ``(code, state)`` children, merged, in code order."""
-    if len(partials) == 1:
-        pairs = partials[0]  # one contributor: already in code order
-    else:
-        by_code: dict[int, tuple] = {}
-        for children in partials:
-            for code, state in children:
-                present = by_code.get(code)
-                by_code[code] = state if present is None else agg.merge(present, state)
-        pairs = sorted(by_code.items())
     out = []
-    for code, state in pairs:
+    for code, state in _merge_pairs(agg, partials):
         child = list(cell)
         child[dim] = code
         out.append({"cell": child, "value": agg.finalize(state)})
@@ -1095,8 +1378,15 @@ class QueryEngine(Engine):
 
     The write path is an :class:`~repro.core.incremental.IncrementalRangeCuber`:
     fact batches are appended into its resident trie by a single writer
-    (serialized by a lock), and each append swaps in a freshly emitted
-    :class:`CubeVersion`.
+    (serialized by a lock), and each append swaps in a new
+    :class:`CubeVersion`: the same emitted base cube plus a
+    :class:`RowDelta` that now holds the batch too.  Once the delta
+    reaches :data:`COMPACT_FRACTION` of the rows the base was emitted
+    from (or :data:`COMPACT_MAX_ROWS`), the append *compacts*: it
+    re-emits the base from the trie and starts an empty delta.  Iceberg
+    cubes (``min_support > 1``) compact on every append, since a cell
+    below the threshold in the base and in the delta can clear it in
+    their sum.
     """
 
     # e2e_bench/tracing.py wraps ``execute`` in this class's own __dict__
@@ -1137,15 +1427,22 @@ class QueryEngine(Engine):
         self._cuber = cuber
         self._store = store
         self._write_lock = threading.Lock()
+        # Rows the base cube was emitted from (the compaction threshold
+        # is a share of it) and the compactions so far.
+        self._base_rows = cuber.n_rows_absorbed
+        self._compactions = 0
         # A plain attribute assignment swaps versions atomically.  An
         # ``initial_cube`` (e.g. a mmap-loaded snapshot, see
         # :mod:`repro.store`) skips the trie's cube emission entirely —
-        # the snapshot cold-start path; the first append replaces it
-        # with a freshly emitted resident cube as usual.
+        # the snapshot cold-start path; it stays the base until the
+        # first compaction.
         self._version = CubeVersion(
             initial_version,
             initial_cube if initial_cube is not None else cuber.cube(min_support),
             covering_schema(schema),
+        )
+        self._empty_delta = RowDelta.empty(
+            cuber.aggregator, cuber.trie.n_dims, len(schema.measure_names)
         )
         _register_engine_collector(self)
 
@@ -1184,11 +1481,25 @@ class QueryEngine(Engine):
             cache_capacity=cache_capacity,
         )
 
+    @property
+    def delta_rows(self) -> int:
+        """Appended rows the current version serves from its row delta."""
+        delta = self._version.delta
+        return 0 if delta is None else len(delta)
+
+    def _explain_extras(self, data: dict) -> dict:
+        return {
+            "tier": {"source": "resident"},
+            "delta_rows_matched": int(data.get("delta_rows_matched", 0)),
+        }
+
     def _stats_extras(self, snap: CubeVersion) -> dict:
         plan = self._cuber.plan
         return {
             "n_ranges": snap.cube.n_ranges,
             "rows_absorbed": self._cuber.n_rows_absorbed,
+            "delta_rows": 0 if snap.delta is None else len(snap.delta),
+            "compactions": self._compactions,
             "trie_nodes": self._cuber.trie_nodes,
             "tuning": (
                 None
@@ -1215,12 +1526,16 @@ class QueryEngine(Engine):
     def append(self, rows: Sequence[Sequence[int]], measures=None) -> int:
         """Absorb a batch of encoded fact rows and refresh the served cube.
 
-        Returns the new version number.  The refresh is atomic from the
-        readers' point of view: they keep answering from the old
-        :class:`CubeVersion` until the single attribute swap, after which
-        every new request sees the new cube and the cache entries of the
-        old version can no longer be returned (the version is part of the
-        cache key); ``invalidate_all`` then reclaims their memory.
+        Returns the new version number.  The batch goes into the trie
+        (which holds every row) and into the new version's row delta; a
+        compaction re-emits the base instead (see the class doc).  The
+        refresh is atomic from the readers' point of view: they keep
+        answering from the old :class:`CubeVersion` until the single
+        attribute swap.  Cache keys embed the version, so an old entry
+        can no longer be returned; the swap then re-keys, under the new
+        version, the cached answers no batch row can reach (a bound
+        value or a dice predicate with no row in the batch) and drops
+        the rest — a compaction drops everything.
         """
         clean_rows, clean_measures = self._validate_rows(rows, measures)
         start = time.perf_counter()
@@ -1234,14 +1549,31 @@ class QueryEngine(Engine):
                 # comparison otherwise); answers are unaffected.
                 if self._cuber.plan is not None:
                     self._cuber.maybe_replan()
-                with _TRACER.span("serve.refresh"):
-                    new = CubeVersion(
-                        self._version.version + 1,
-                        self._cuber.cube(self._min_support),
-                        covering_schema(self._version.schema, clean_rows),
+                old = self._version
+                schema = covering_schema(old.schema, clean_rows)
+                delta = None
+                if self._min_support == 1:
+                    delta = (old.delta or self._empty_delta).extend(
+                        clean_rows, clean_measures
                     )
-                self._version = new  # the atomic swap
-                self.cache.invalidate_all()
+                if delta is None or len(delta) >= min(
+                    COMPACT_FRACTION * self._base_rows, COMPACT_MAX_ROWS
+                ):
+                    with _TRACER.span("serve.compact"):
+                        new = CubeVersion(
+                            old.version + 1, self._cuber.cube(self._min_support), schema
+                        )
+                    self._base_rows = self._cuber.n_rows_absorbed
+                    self._compactions += 1
+                    _COMPACTIONS.inc()
+                    self._version = new  # the atomic swap
+                    self.cache.invalidate_all()
+                else:
+                    new = old.successor(schema, delta)
+                    self._version = new  # the atomic swap
+                    self.cache.invalidate_all(
+                        _carry_over(old.version, new.version, schema, clean_rows)
+                    )
                 if self._store is not None:
                     self._store.save(
                         self._name,
@@ -1261,5 +1593,6 @@ class QueryEngine(Engine):
         snap = self._version
         return (
             f"QueryEngine(v{snap.version}, {snap.cube.n_ranges} ranges, "
-            f"{self._cuber.n_rows_absorbed} rows absorbed)"
+            f"{self._cuber.n_rows_absorbed} rows absorbed, "
+            f"{self.delta_rows} in the delta)"
         )

@@ -11,8 +11,10 @@ its whole population, so the approx estimates are exact on every tier.
 Approx requests leave the shard dimension free: a routed one reports
 only its shard's ``sample_size``.  Before the list runs, the resident
 engine and the router absorb rows whose codes lie past the table's
-cardinality (the snapshot is written after that append), so drill-downs
-and slices must list children the schema never had.
+cardinality, so drill-downs and slices must list children the schema
+never had.  Those engines answer from their base cube plus the appended
+rows' row delta; the snapshot is written from one cube over every
+absorbed row.
 """
 
 import numpy as np
@@ -136,9 +138,12 @@ def test_every_tier_answers_one_request_list_identically(aggregator, tmp_path):
     try:
         measures = [[10.0 * (i + 1)] for i in range(len(APPENDED))]
         assert resident.append(APPENDED, measures) == router.append(APPENDED, measures) == 1
+        # The resident engine serves its base plus the appended rows as a
+        # row delta; the snapshot tier is one cube over every absorbed row.
         snap = resident.snapshot()
+        assert snap.delta is not None and len(snap.delta) == len(APPENDED)
         path = write_snapshot(
-            snap.cube, tmp_path / "cube.snapshot", snap.schema,
+            resident._cuber.cube(), tmp_path / "cube.snapshot", snap.schema,
             rows_absorbed=table.n_rows + len(APPENDED), engine_version=snap.version,
         )
         answers = {}

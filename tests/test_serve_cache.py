@@ -108,3 +108,19 @@ def test_capacity_invariant_under_concurrent_churn():
     assert len(cache) <= 16
     stats = cache.stats()
     assert stats.size == len(cache.keys()) <= 16
+
+
+def test_invalidate_all_rekey_carries_entries_over_in_recency_order():
+    cache = LRUCache(8)
+    for i in range(5):
+        cache.put((1, i), f"v{i}")
+    cache.get((1, 0))  # now the most recent
+
+    def rekey(key, value):
+        version, i = key
+        return None if i % 2 else ((2, i), value + "'")
+
+    assert cache.invalidate_all(rekey) == 2
+    assert cache.keys() == [(2, 2), (2, 4), (2, 0)]
+    assert cache.get((2, 4)) == "v4'" and cache.get((1, 4)) is None
+    assert cache.stats().invalidations == 1

@@ -196,17 +196,19 @@ def test_schema_arity_mismatch_rejected():
 
 
 def test_append_frees_the_replaced_cube_version():
-    """A swapped-out version dies with its last reference, not at a collection.
+    """A replaced base dies with its last reference, not at a collection.
 
     The cube caches its columnar store and point index; neither may point
     back at it strongly, or every replaced version (tens of MB at scale)
-    would linger until the cyclic collector ran.
+    would linger until the cyclic collector ran.  An append that only
+    extends the row delta keeps the base; the compaction replaces it.
     """
     import gc
     import weakref
 
     from repro.data.synthetic import uniform_table
     from repro.serve import QueryRequest
+    from repro.serve.engine import COMPACT_FRACTION
 
     engine = QueryEngine.from_table(uniform_table(6000, 4, 10, seed=3))
     gc.collect()
@@ -220,6 +222,45 @@ def test_append_frees_the_replaced_cube_version():
         replaced = weakref.ref(cube)
         del cube
         engine.append([[0, 0, 0, 0]], [[1.0]])
+        assert engine.snapshot().cube is replaced()
+        n_rows = int(COMPACT_FRACTION * 6000)
+        engine.append([[i % 10, 0, 0, 0] for i in range(n_rows)], [[1.0]] * n_rows)
+        assert engine.stats()["compactions"] == 1
         assert replaced() is None
     finally:
         gc.enable()
+
+
+def test_append_carries_over_the_answers_no_batch_row_reaches():
+    from repro.serve import QueryRequest
+
+    engine = QueryEngine.from_table(make_paper_table())  # stores 0..2
+    untouched = [
+        QueryRequest(op="point", cell=[1, None, None, None]),
+        QueryRequest(op="rollup", cell=[0, 1, None, None], dim="store"),
+        QueryRequest(op="drilldown", bindings={"store": 2}, dim=1),
+        QueryRequest(op="slice", cell=[None, None, 2, None]),
+        QueryRequest(op="dice", predicates={"product": [1, 2]}),
+    ]
+    reached = [
+        QueryRequest(op="point", cell=[None] * 4),
+        QueryRequest(op="point", cell=[0, None, None, None]),
+        # the roll-up frees the store, so the batch row's city reaches it
+        QueryRequest(op="rollup", cell=[1, 0, None, None], dim=0),
+        QueryRequest(op="dice", predicates={"0": [0, 1]}),
+        QueryRequest(op="dice", predicates={"product": [1, 2]}, approx=True),
+    ]
+    before = [engine.execute(r) for r in untouched + reached]
+    assert engine.append([[0, 0, 0, 0]], [[7.0]]) == 1
+    assert engine.stats()["delta_rows"] == 1
+    after = [engine.execute(r) for r in untouched + reached]
+    for old, new in zip(before[: len(untouched)], after):
+        assert new["cached"] and new["version"] == 1
+        assert dict(new, cached=False) == dict(old, version=1)
+    assert not any(r["cached"] for r in after[len(untouched):])
+    assert after[len(untouched)]["value"]["count"] == 7
+
+    # A compaction drops every entry.
+    engine.append([[1, 1, 1, 1]] * 2, [[1.0]] * 2)
+    assert engine.stats()["compactions"] == 1
+    assert not any(engine.execute(r)["cached"] for r in untouched)

@@ -219,3 +219,45 @@ def test_double_start_rejected():
 def test_client_rejects_non_http_urls():
     with pytest.raises(ValueError):
         HTTPCubeClient("ftp://example.com")
+
+
+#: Append bodies that must come back ``bad_request`` without absorbing a
+#: row: a string measure, a null measure, a flat measure list, flat rows.
+MALFORMED_APPENDS = [
+    {"rows": [[0, 0, 0, 0]], "measures": [["x"]]},
+    {"rows": [[0, 0, 0, 0]], "measures": [[None]]},
+    {"rows": [[0, 0, 0, 0]], "measures": [1.0]},
+    {"rows": [0, 0, 0, 0], "measures": [[1.0]]},
+]
+
+
+@pytest.mark.parametrize("tier", ["resident", "router"])
+def test_malformed_append_bodies_are_typed_rejections(tier):
+    import http.client
+
+    from repro.serve import ShardRouter
+
+    table = make_paper_table()
+    engine = (
+        QueryEngine.from_table(table) if tier == "resident"
+        else ShardRouter.from_table(table, n_shards=2)
+    )
+    try:
+        with CubeServer(engine, port=0) as server:
+            for body in MALFORMED_APPENDS:
+                conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+                try:
+                    conn.request(
+                        "POST", "/append", body=json.dumps(body).encode(),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert response.status == 400, (body, payload)
+                assert payload["error"]["code"] == "bad_request", (body, payload)
+                assert engine.version == 0
+            assert engine.point([None] * 4)["count"] == table.n_rows
+    finally:
+        engine.close()

@@ -35,6 +35,7 @@ from repro.serve import (
     ServeError,
     ShardRouter,
 )
+from repro.serve.engine import COMPACT_FRACTION
 from repro.serve.protocol import ErrorCode
 from repro.serve.workload import WorkloadDriver
 from repro.store import (
@@ -374,12 +375,18 @@ def test_cube_store_snapshot_format_round_trip(tmp_path):
     assert isinstance(engine.snapshot().cube, SnapshotCube)
     for cell in ([None] * 4, [0, None, None, None], [8, 8, 8, 8]):
         assert engine.point(cell) == reference.point(cell)
-    # Appends keep flowing through the trie: the snapshot generation is
-    # replaced by a fresh resident cube and the answer reflects the row.
+    # Appends keep flowing through the trie.  The appended row is
+    # answered at once, while the mapped snapshot stays the base ...
+    before = (engine.point([3, 3, 3, 3]) or {"count": 0})["count"]
     engine.append([[3, 3, 3, 3]], [[5.0]])
-    assert not isinstance(engine.snapshot().cube, SnapshotCube)
-    assert engine.point([3, 3, 3, 3]) is not None
+    assert isinstance(engine.snapshot().cube, SnapshotCube)
+    assert engine.point([3, 3, 3, 3])["count"] == before + 1
     assert engine.version == reference.version + 1
+    # ... until a compaction replaces it with a freshly emitted cube.
+    n_rows = int(COMPACT_FRACTION * table.n_rows)
+    engine.append([[3, 3, 3, 3]] * n_rows, [[5.0]] * n_rows)
+    assert not isinstance(engine.snapshot().cube, SnapshotCube)
+    assert engine.point([3, 3, 3, 3])["count"] == before + 1 + n_rows
 
 
 def test_cube_store_legacy_json_entries_still_load(tmp_path):
