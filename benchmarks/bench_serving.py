@@ -18,7 +18,9 @@ before the engine served a row delta::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --quick
 
-The full standalone run writes ``BENCH_serving.json``.
+The full standalone run also times what the row delta adds to a read
+miss at sizes up to the compaction cap (reported, not gated), and writes
+``BENCH_serving.json``.
 """
 
 import json
@@ -31,6 +33,7 @@ from repro.core.incremental import IncrementalRangeCuber
 from repro.data.correlated import FunctionalDependency, correlated_table
 from repro.data.synthetic import zipf_probabilities
 from repro.serve import CubeServer, HTTPCubeClient, QueryEngine, QueryRequest
+from repro.serve.engine import COMPACT_MAX_ROWS, CubeVersion, RowDelta
 from repro.table.aggregates import default_aggregator
 from repro.table.base_table import BaseTable
 from repro.tune import TuningPlan, resolve_plan
@@ -67,6 +70,10 @@ APPEND_ROWS = 256
 #: Timed appends per side: under the compaction threshold at both sizes,
 #: so every one is a delta refresh.
 APPENDS = 5
+#: Row-delta sizes at which the full run times a read miss's delta
+#: cost, up to the compaction cap, and the reads it times.
+DELTA_SIZES = (256, 1024, 2048, 4096, COMPACT_MAX_ROWS)
+DELTA_READS = 500
 
 SCALES = {
     "quick": {"n_rows": 1000, "n_dims": 5, "cardinality": 20, "n_queries": 2000},
@@ -238,6 +245,68 @@ def measure_refresh(n_rows: int) -> dict:
     }
 
 
+def measure_delta_reads(n_rows: int) -> dict:
+    """What the row delta adds to a read miss, by delta size.
+
+    Reads off real rows: points binding one to four dimensions, every
+    fifth a drill-down and every fifth a three-code dice on the next
+    free dimension.  Each read resolves against the base alone and then
+    against the same base plus the delta, five times over; the best of
+    each side counts, so host noise lands on neither.
+    """
+    table = correlated_table(
+        n_rows + COMPACT_MAX_ROWS, REFRESH_DIMS, REFRESH_CARD, REFRESH_FDS,
+        theta=REFRESH_THETA, seed=29,
+    )
+    measures = np.floor(table.measures * 100)
+    codes = table.dim_codes
+    engine = QueryEngine.from_table(
+        BaseTable(table.schema, codes[:n_rows], measures[:n_rows]), cache_capacity=0
+    )
+    rng = np.random.default_rng(7)
+    items = []
+    for i, k in enumerate(rng.integers(1, 5, DELTA_READS).tolist()):
+        row = codes[rng.integers(n_rows)]
+        dims = rng.permutation(REFRESH_DIMS).tolist()
+        cell = tuple(int(row[d]) if d in dims[:k] else None for d in range(REFRESH_DIMS))
+        if i % 5 == 3:
+            items.append(("children", cell, dims[k]))
+        elif i % 5 == 4:
+            picks = codes[rng.integers(n_rows, size=3), dims[k]]
+            items.append(("dice", cell, {dims[k]: sorted(set(picks.tolist()))}))
+        else:
+            items.append(("point", cell))
+    base = engine.snapshot()
+    for item in items:  # warm the base's cuboid memos
+        base.resolve([item])
+    delta = RowDelta.empty(base.cube.aggregator, REFRESH_DIMS, 1)
+    sizes = []
+    for size in DELTA_SIZES:
+        lo = len(delta)
+        delta = delta.extend(codes[n_rows + lo:n_rows + size].tolist(),
+                             measures[n_rows + lo:n_rows + size].tolist())
+        version = CubeVersion(1, base.cube, base.schema, delta)
+        alone, added = [], []
+        for item in items:
+            best = [float("inf")] * 2
+            for _ in range(5):
+                start = time.perf_counter()
+                base.resolve([item])
+                mid = time.perf_counter()
+                version.resolve([item])
+                end = time.perf_counter()
+                best = [min(best[0], mid - start), min(best[1], end - mid)]
+            alone.append(best[0])
+            added.append(best[1] - best[0])
+        sizes.append({
+            "delta_rows": size,
+            "base_mean_us": round(statistics.mean(alone) * 1e6, 1),
+            "added_mean_us": round(statistics.mean(added) * 1e6, 1),
+            "added_p90_us": round(float(np.percentile(added, 90)) * 1e6, 1),
+        })
+    return {"n_rows": n_rows, "reads": DELTA_READS, "sizes": sizes}
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -301,6 +370,13 @@ def main(argv=None) -> int:
         f"= {refresh['speedup']:.1f}x (floor {MIN_REFRESH_SPEEDUP:g}x)"
     )
     if not args.quick:
+        delta_reads = measure_delta_reads(REFRESH_ROWS["full"])
+        for size in delta_reads["sizes"]:
+            print(
+                f"delta {size['delta_rows']:>5,} rows: +{size['added_mean_us']:.1f}us "
+                f"mean (p90 +{size['added_p90_us']:.1f}us) per read miss over "
+                f"{size['base_mean_us']:.1f}us on the base alone"
+            )
         with open("BENCH_serving.json", "w") as fh:
             json.dump(
                 {
@@ -320,6 +396,7 @@ def main(argv=None) -> int:
                         "speedup": round(speedup, 2),
                         "min_speedup_floor": MIN_SPEEDUP,
                     },
+                    "delta_reads": delta_reads,
                 },
                 fh,
                 indent=2,

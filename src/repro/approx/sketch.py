@@ -31,6 +31,7 @@ states: component-wise, finalizing bounds once at the router
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
@@ -515,8 +516,9 @@ def exact_partial(
 def combine_partials(first: Mapping, second: Mapping) -> dict:
     """Two partials over disjoint rows as one partial.
 
-    Totals, variances, floors and ceilings add, as in
-    :func:`finalize_partials`.  The result keeps ``first``'s estimator,
+    Independent estimators (disjoint row partitions, private samples)
+    add: totals and variances sum, and floors/ceilings sum while both
+    contributors' are valid.  A sampled estimator wins over ``"exact"``,
     so an exact partial added to a sampled one leaves the answer sampled.
     """
     ceil = (
@@ -524,7 +526,9 @@ def combine_partials(first: Mapping, second: Mapping) -> dict:
         else first["ceil"] + second["ceil"]
     )
     return {
-        "estimator": first["estimator"],
+        "estimator": (
+            second["estimator"] if first["estimator"] == "exact" else first["estimator"]
+        ),
         "est": [a + b for a, b in zip(first["est"], second["est"])],
         "var": [a + b for a, b in zip(first["var"], second["var"])],
         "floor": [a + b for a, b in zip(first["floor"], second["floor"])],
@@ -575,32 +579,17 @@ def finalize_partials(
 ) -> ApproxAnswer:
     """Combine independent partials and turn them into bounds.
 
-    Shard estimators are independent (disjoint row partitions, private
-    samples), so totals and variances both add; floors/ceilings add
-    when every contributor's is valid.  Bounds are computed once here —
-    mirroring how the router merges aggregate *states* and finalizes
-    once.
+    The partials fold through :func:`combine_partials`, starting from
+    the empty exact partial; bounds are computed once here — mirroring
+    how the router merges aggregate *states* and finalizes once.
     """
-    components, kinds = component_layout(aggregator)
-    width = len(components)
-    est = np.zeros(width)
-    var = np.zeros(width)
-    floor = np.zeros(width)
-    floor_valid = np.ones(width, dtype=bool)
-    ceil: float | None = 0.0
-    estimator = "exact"
-    sample_size = 0
-    matched = 0
-    for partial in partials:
-        est += np.asarray(partial["est"], dtype=np.float64)
-        var += np.asarray(partial["var"], dtype=np.float64)
-        floor += np.asarray(partial["floor"], dtype=np.float64)
-        floor_valid &= np.asarray(partial["floor_valid"], dtype=bool)
-        ceil = None if (ceil is None or partial["ceil"] is None) else ceil + partial["ceil"]
-        sample_size += int(partial["sample_size"])
-        matched += int(partial["matched"])
-        if partial["estimator"] != "exact":
-            estimator = partial["estimator"]
+    _, kinds = component_layout(aggregator)
+    total = functools.reduce(combine_partials, partials, exact_partial(aggregator, None))
+    est = np.asarray(total["est"], dtype=np.float64)
+    var = np.asarray(total["var"], dtype=np.float64)
+    floor = np.asarray(total["floor"], dtype=np.float64)
+    floor_valid = np.asarray(total["floor_valid"], dtype=bool)
+    ceil = total["ceil"]
     half = z_score(confidence) * np.sqrt(var)
     lower = est - half
     upper = est + half
@@ -643,9 +632,9 @@ def finalize_partials(
         lower=lower_d,
         upper=upper_d,
         confidence=confidence,
-        estimator=estimator,
-        sample_size=sample_size,
-        matched=matched,
+        estimator=total["estimator"],
+        sample_size=int(total["sample_size"]),
+        matched=int(total["matched"]),
         bound_width=count_width,
     )
 

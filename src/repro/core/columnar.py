@@ -32,10 +32,10 @@ The layout, for a cube of ``R`` ranges over ``n`` dimensions:
 
 Query answering:
 
-* :meth:`find_id` is :meth:`select` on the cell's own cuboid: the
-  shortest bound-value posting, one vectorized containment check and a
-  probe of the ``specific`` column per other bound value, in place of
-  the hash index's ``2**m`` probe loop;
+* :meth:`find_id` intersects the bound dimensions' postings
+  (sorted-merge via ``np.intersect1d``) and applies one vectorized
+  containment check (``fixed_mask & ~query_mask == 0``) in place of the
+  hash index's ``2**m`` probe loop;
 * :meth:`find_batch` groups a batch of cells by bound-dimension mask
   and answers each group from a memoized *cuboid map* (projected
   specific endpoint -> range id), so steady-state batched lookups cost
@@ -105,7 +105,7 @@ _TRACER = get_tracer()
 _REGISTRY = get_registry()
 _POSTINGS_HITS = _REGISTRY.counter(
     "repro_query_postings_hits_total",
-    "Single point lookups resolved through the selection kernel (find_id).",
+    "Point lookups resolved by inverted-postings intersection.",
 )
 _CUBOID_MAP_HITS = _REGISTRY.counter(
     "repro_query_cuboid_map_hits_total",
@@ -387,23 +387,42 @@ class ColumnarRangeStore:
     def find_id(self, cell: Cell) -> int:
         """The id of the unique range containing ``cell`` (−1 when empty).
 
-        A point is a selection on its own cuboid: the range containing
-        ``cell`` is the one :meth:`select` returns for ``cell`` and its
-        bound mask (ranges are disjoint, so there is at most one).  The
-        all-``*`` cell keeps its bitset-resolved :attr:`_apex_id`.
+        Postings intersection over the bound dimensions, then one
+        vectorized containment check: a surviving candidate contains the
+        cell iff its fixed dimensions are all bound by the cell
+        (``fixed_mask & ~query_mask == 0``) — the marked/free dimensions
+        accept ``*`` by construction of the postings.
         """
         qmask = 0
+        posts = []
         for d, v in enumerate(cell):
-            if v is not None:
-                qmask |= 1 << d
-        if not qmask:
+            if v is None:
+                continue
+            qmask |= 1 << d
+            p = self.postings[d].get(v)
+            if p is None:
+                return -1
+            posts.append(p)
+        acc = explain_collector()
+        if not posts:
             return self._apex_id
-        ids = self.select(cell, qmask)
-        if not ids.size:
+        posts.sort(key=len)
+        ids = posts[0]
+        for p in posts[1:]:
+            ids = np.intersect1d(ids, p, assume_unique=True)
+            if not ids.size:
+                if acc is not None:
+                    acc.add("postings_intersected", len(posts))
+                return -1
+        if acc is not None:
+            acc.add("postings_intersected", len(posts))
+            acc.add("cells_scanned", int(ids.size))
+        ok = ids[(self.fixed_mask[ids] & ~qmask) == 0]
+        if not ok.size:
             return -1
         if OBS_STATE.enabled:
             _POSTINGS_HITS.inc()
-        return int(ids[0])
+        return int(ok[0])
 
     def find(self, cell: Cell) -> "Range | None":
         """The unique range containing ``cell`` (None when the cell is empty)."""
@@ -416,7 +435,8 @@ class ColumnarRangeStore:
         Cells are grouped by bound-dimension mask; each group resolves
         against that mask's memoized cuboid map (one dict probe per
         cell).  A mask whose candidate list dwarfs its group falls back
-        to per-cell :meth:`find_id` instead of paying the map build.
+        to per-cell postings intersection instead of paying the map
+        build.
         """
         if not OBS_STATE.enabled:
             return self._find_batch_ids(cells)[0]

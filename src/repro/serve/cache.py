@@ -121,14 +121,17 @@ class LRUCache:
                 dropped = len(entries)
                 entries.clear()
                 return dropped
+            # The lock-free ``get`` reorders ``entries`` on a hit, so walk
+            # a snapshot: ``list(...)`` is one C call, atomic under the GIL.
+            items = list(entries.items())
             kept: OrderedDict[Hashable, Any] = OrderedDict()
-            for key, value in entries.items():
+            for key, value in items:
                 carried = rekey(key, value)
                 if carried is not None:
                     kept[carried[0]] = carried[1]
             # One attribute swap: the lock-free ``get`` reads either dict.
             self._entries = kept
-            return len(entries) - len(kept)
+            return len(items) - len(kept)
 
     def keys(self) -> list[Hashable]:
         """Current keys, least-recently-used first (a snapshot, for tests)."""

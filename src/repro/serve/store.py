@@ -272,7 +272,7 @@ class CubeStore:
         with ``read_format: "snapshot"`` cold-start by memory-mapping
         the snapshot columns as the initial cube generation — the trie
         is still loaded (it is the write path), but the expensive cube
-        emission is skipped until the first append.
+        emission is skipped until the first compaction.
         """
         from repro.serve.engine import QueryEngine
 

@@ -124,3 +124,23 @@ def test_invalidate_all_rekey_carries_entries_over_in_recency_order():
     assert cache.keys() == [(2, 2), (2, 4), (2, 0)]
     assert cache.get((2, 4)) == "v4'" and cache.get((1, 4)) is None
     assert cache.stats().invalidations == 1
+
+
+def test_invalidate_all_rekey_survives_a_concurrent_hit():
+    """A lock-free hit that reorders the entries mid re-key is harmless."""
+    cache = LRUCache(8)
+    for i in range(4):
+        cache.put((1, i), i)
+
+    def hit() -> None:
+        assert cache.get((1, 0)) == 0  # moves (1, 0) to the end
+
+    def rekey(key, value):
+        if key == (1, 0):  # a reader hits while the walk is under way
+            reader = threading.Thread(target=hit)
+            reader.start()
+            reader.join()
+        return (2, key[1]), value
+
+    assert cache.invalidate_all(rekey) == 0
+    assert cache.keys() == [(2, i) for i in range(4)]

@@ -264,3 +264,57 @@ def test_append_carries_over_the_answers_no_batch_row_reaches():
     engine.append([[1, 1, 1, 1]] * 2, [[1.0]] * 2)
     assert engine.stats()["compactions"] == 1
     assert not any(engine.execute(r)["cached"] for r in untouched)
+
+
+def test_appends_survive_concurrent_cache_hits(tmp_path):
+    """Reads hitting the cache while appends re-key it never fail an append.
+
+    Every append must bump the version and write through to the store,
+    and the stored trie must reload every row.
+    """
+    import sys
+    import threading
+
+    from repro.data.synthetic import uniform_table
+    from repro.serve import CubeStore, QueryRequest
+
+    table = uniform_table(2000, 4, 10, seed=5)
+    store = CubeStore(tmp_path / "cubes")
+    store.create("sales", table)
+    engine = store.open_engine("sales")
+    # The batches only hold code 0 on dimension 0, so these carry over.
+    hot = [
+        QueryRequest(op="point", cell=[a, b, None, None])
+        for a in range(1, 10) for b in range(10)
+    ]
+    for request in hot:
+        engine.execute(request)
+    stop = threading.Event()
+    errors: list = []
+
+    def read() -> None:
+        try:
+            while not stop.is_set():
+                for request in hot:
+                    engine.execute(request)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        versions = [engine.append([[0, i % 10, 0, 0]], [[1.0]]) for i in range(40)]
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join()
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert versions == list(range(1, 41))
+    assert engine.stats()["compactions"] == 0
+    stored = store.load("sales")
+    assert stored.engine_version == 40
+    assert stored.cuber.n_rows_absorbed == table.n_rows + 40
